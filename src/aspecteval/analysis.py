@@ -63,11 +63,9 @@ def measure_correlation(m1: ScoreMatrix, m2: ScoreMatrix) -> CorrelationReport:
         )
     per_topic: dict[str, float] = {}
     excluded = 0
-    for topic in m1.topic_ids:
+    for topic, x, y in zip(m1.topic_ids, m1.values.T, m2.values.T):
         try:
-            per_topic[topic] = kendall_tau(
-                m1.topic_scores(topic), m2.topic_scores(topic)
-            )
+            per_topic[topic] = kendall_tau(x, y)
         except DegenerateInput:
             excluded += 1
     mean_tau = sum(per_topic.values()) / len(per_topic) if per_topic else None
@@ -173,10 +171,9 @@ def discriminative_power(
     if seed < 0:
         raise ConfigError("seed must be non-negative")
     pairs = []
-    for run_a, run_b in itertools.combinations(m.run_tags, 2):
-        d = np.array(
-            [m.score(run_a, t) - m.score(run_b, t) for t in m.topic_ids], dtype=float
-        )
+    for a, b in itertools.combinations(range(len(m.run_tags)), 2):
+        run_a, run_b = m.run_tags[a], m.run_tags[b]
+        d = m.values[a] - m.values[b]
         if d.std(ddof=1) == 0.0:
             mean = d.mean()
             t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
@@ -191,10 +188,9 @@ def discriminative_power(
 
 def select_best_runs(m: ScoreMatrix) -> dict[str, str]:
     """Per topic, the run with the highest score (ties: run_tag ascending)."""
-    return {
-        topic: min(m.run_tags, key=lambda r: (-m.score(r, topic), r))
-        for topic in m.topic_ids
-    }
+    # argmax takes the first maximum, and run_tags are sorted.
+    best = m.values.argmax(axis=0)
+    return {topic: m.run_tags[i] for topic, i in zip(m.topic_ids, best)}
 
 
 @dataclass(frozen=True)

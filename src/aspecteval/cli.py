@@ -303,6 +303,15 @@ def cmd_analyze(args) -> int:
     if len(set(labels)) != len(labels):
         raise ConfigError("score tables must carry distinct measure labels")
 
+    # The audit inputs are not recorded: the config hash never covered them.
+    audit_inputs = (
+        st.get("files", "schema", args.schema, record=False),
+        args.qrels or str(st.get("files", "qrels", record=False) or "").split(),
+        args.runs or str(st.get("files", "runs", record=False) or "").split(),
+    )
+    if any(audit_inputs) and not all(audit_inputs):
+        raise ConfigError("ranking audits need --runs, --qrels, and --schema together")
+
     seed = _parse_int(_require(st.get("analysis", "seed", args.seed), "seed"), "seed")
     b_samples = _parse_int(st.get("analysis", "bootstrap", args.bootstrap, "10000"), "bootstrap count")
     alpha = _parse_float(st.get("analysis", "alpha", args.alpha, "0.01"), "alpha")
@@ -320,17 +329,10 @@ def cmd_analyze(args) -> int:
         report = discriminative_power(m, b_samples, alpha, seed)
         (out_dir / f"dp_{m.measure}.tsv").write_text(render_dp(report, meta))
 
-    audit_inputs = (args.runs, args.qrels, st.get("files", "schema", args.schema))
-    if any(audit_inputs) and not all(
-        (args.runs or st.get("files", "runs"), args.qrels or st.get("files", "qrels"),
-         st.get("files", "schema", args.schema))
-    ):
-        raise ConfigError("ranking audits need --runs, --qrels, and --schema together")
-    if all((args.runs or st.get("files", "runs"), args.qrels or st.get("files", "qrels"),
-            st.get("files", "schema", args.schema))):
-        schema = parse_schema(_read(st.get("files", "schema", args.schema)))
-        gt, _ = _load_ground_truth(st, args.qrels, schema)
-        run_paths = args.runs or str(st.get("files", "runs")).split()
+    if all(audit_inputs):
+        schema_path, qrels, run_paths = audit_inputs
+        schema = parse_schema(_read(schema_path))
+        gt, _ = _load_ground_truth(st, qrels, schema)
         runs, _warn = _load_runs(run_paths, args.honor_rank)
         best_by = st.get("analysis", "best_by", args.best_by, labels[0])
         try:

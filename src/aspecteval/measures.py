@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DuplicateDoc, WeightError
 from .order import Metric, WeightAssignment, assign_weights, build_order
-from .schema import AspectSchema, GroundTruth, LabelTuple, build_tuple_space
+from .schema import Aspect, AspectSchema, GroundTruth, LabelTuple, build_tuple_space
 
 NDCG = "ndcg"
 AP = "ap"
@@ -123,6 +125,24 @@ def average_precision(
     return acc / total_relevant
 
 
+def _score(run: RankedList, column: Mapping[str, float], cfg: MeasureConfig) -> float:
+    """Score one ranking against one doc -> gain column of the judged pool:
+    nDCG over the gains, or AP with every nonzero gain counted relevant."""
+    if cfg.kind == NDCG:
+        return ndcg(run, column, list(column.values()), cfg.depth, cfg.log_base)
+    relevant = {d for d, g in column.items() if g}
+    return average_precision(run, relevant, len(relevant), cfg.depth)
+
+
+def _weight_column(
+    judged: Mapping[str, LabelTuple], weights: WeightAssignment
+) -> dict[str, float]:
+    try:
+        return {d: float(weights.of(t)) for d, t in judged.items()}
+    except KeyError as exc:
+        raise ConfigError(f"judged tuple without a weight: {exc}") from None
+
+
 def order_score(
     run: RankedList,
     gt: GroundTruth,
@@ -131,59 +151,47 @@ def order_score(
 ) -> float:
     """Score a run with tuple weights as gains (nDCG) or as the binary
     relevance signal (AP)."""
-    judged = gt.judged(run.topic_id)
-    try:
-        doc_weights = {d: weights.of(t) for d, t in judged.items()}
-    except KeyError as exc:
-        raise ConfigError(f"judged tuple without a weight: {exc}") from None
-    if cfg.kind == NDCG:
-        gains_of = {d: float(w) for d, w in doc_weights.items()}
-        return ndcg(run, gains_of, list(gains_of.values()), cfg.depth, cfg.log_base)
-    if not weights.is_binary:
+    column = _weight_column(gt.judged(run.topic_id), weights)
+    if cfg.kind == AP and not weights.is_binary:
         raise ConfigError("average precision needs a binary weight assignment")
-    relevant = {d for d, w in doc_weights.items() if w == 1}
-    return average_precision(run, relevant, len(relevant), cfg.depth)
+    return _score(run, column, cfg)
 
 
-def _resolve_gain_vectors(schema: AspectSchema, cfg: MeasureConfig) -> list[list[float]]:
-    vectors = []
-    for aspect in schema.aspects:
-        table = (cfg.aspect_gains or {}).get(aspect.name)
-        if table is None:
-            vectors.append([float(i) for i in range(aspect.n_grades)])
-            continue
-        try:
-            vec = [float(table[label]) for label in aspect.labels]
-        except KeyError as exc:
-            raise ConfigError(
-                f"no gain configured for label {exc} of aspect {aspect.name!r}"
-            ) from None
-        if any(v < 0 for v in vec):
-            raise ConfigError(f"negative gain for aspect {aspect.name!r}")
-        if any(b < a for a, b in itertools.pairwise(vec)):
-            raise ConfigError(
-                f"gains for aspect {aspect.name!r} must not decrease with grade"
-            )
-        vectors.append(vec)
-    return vectors
-
-
-def _resolve_relevant_sets(schema: AspectSchema, cfg: MeasureConfig) -> list[set[int]]:
-    sets = []
-    for aspect in schema.aspects:
-        labels = (cfg.aspect_relevant or {}).get(aspect.name)
-        if labels is None:
-            sets.append(set(range(1, aspect.n_grades)))
-            continue
-        indices = {aspect.index(l) for l in labels}
+def _aspect_table(aspect: Aspect, cfg: MeasureConfig) -> list[float]:
+    """Gain per grade index of one aspect: the configured gains for nDCG,
+    1.0 for a relevant grade and 0.0 otherwise for AP."""
+    if cfg.kind == AP:
+        labels = (cfg.aspect_relevant or {}).get(aspect.name, aspect.labels[1:])
+        relevant = {aspect.index(l) for l in labels}
         # Binary gains must still be non-decreasing along the grade order.
-        if indices and indices != set(range(min(indices), aspect.n_grades)):
+        if relevant and relevant != set(range(min(relevant), aspect.n_grades)):
             raise ConfigError(
                 f"relevant labels for aspect {aspect.name!r} must form an "
                 "upward-closed set of grades"
             )
-        sets.append(indices)
-    return sets
+        return [float(g in relevant) for g in range(aspect.n_grades)]
+    table = (cfg.aspect_gains or {}).get(aspect.name)
+    if table is None:
+        return [float(i) for i in range(aspect.n_grades)]
+    try:
+        vec = [float(table[label]) for label in aspect.labels]
+    except KeyError as exc:
+        raise ConfigError(
+            f"no gain configured for label {exc} of aspect {aspect.name!r}"
+        ) from None
+    if any(v < 0 for v in vec):
+        raise ConfigError(f"negative gain for aspect {aspect.name!r}")
+    if any(b < a for a, b in itertools.pairwise(vec)):
+        raise ConfigError(
+            f"gains for aspect {aspect.name!r} must not decrease with grade"
+        )
+    return vec
+
+
+def _aspect_columns(
+    judged: Mapping[str, LabelTuple], tables: Sequence[Sequence[float]]
+) -> list[dict[str, float]]:
+    return [{d: table[t[i]] for d, t in judged.items()} for i, table in enumerate(tables)]
 
 
 def aspect_scores(
@@ -193,19 +201,9 @@ def aspect_scores(
     cfg: MeasureConfig,
 ) -> tuple[float, ...]:
     """Per-aspect effectiveness of a run, one score per schema aspect."""
-    judged = gt.judged(run.topic_id)
-    scores = []
-    if cfg.kind == NDCG:
-        for i, vec in enumerate(_resolve_gain_vectors(schema, cfg)):
-            gains_of = {d: vec[t[i]] for d, t in judged.items()}
-            scores.append(
-                ndcg(run, gains_of, list(gains_of.values()), cfg.depth, cfg.log_base)
-            )
-    else:
-        for i, rel in enumerate(_resolve_relevant_sets(schema, cfg)):
-            docs = {d for d, t in judged.items() if t[i] in rel}
-            scores.append(average_precision(run, docs, len(docs), cfg.depth))
-    return tuple(scores)
+    tables = [_aspect_table(a, cfg) for a in schema.aspects]
+    columns = _aspect_columns(gt.judged(run.topic_id), tables)
+    return tuple(_score(run, column, cfg) for column in columns)
 
 
 def _resolve_importance(
@@ -224,6 +222,18 @@ def _resolve_importance(
     return p
 
 
+def _cam(p: Sequence[float], mu: Sequence[float]) -> float:
+    return sum(pi * mi for pi, mi in zip(p, mu))
+
+
+def _mm(p: Sequence[float], mu: Sequence[float], variant: str) -> float:
+    if any(m == 0.0 for m in mu):
+        return 0.0
+    if variant == CANONICAL:
+        return sum(p) / sum(pi / mi for pi, mi in zip(p, mu))
+    return 1.0 / sum(1.0 / m for m in mu)
+
+
 def cam_score(
     run: RankedList,
     gt: GroundTruth,
@@ -233,8 +243,7 @@ def cam_score(
 ) -> float:
     """Weighted arithmetic mean of the per-aspect scores."""
     p = _resolve_importance(schema, importance)
-    mu = aspect_scores(run, gt, schema, cfg)
-    return sum(pi * mi for pi, mi in zip(p, mu))
+    return _cam(p, aspect_scores(run, gt, schema, cfg))
 
 
 def mm_score(
@@ -254,12 +263,7 @@ def mm_score(
     if variant not in (CANONICAL, TABLE):
         raise ConfigError(f"unknown harmonic-mean variant {variant!r}")
     p = _resolve_importance(schema, importance)
-    mu = aspect_scores(run, gt, schema, cfg)
-    if any(m == 0.0 for m in mu):
-        return 0.0
-    if variant == CANONICAL:
-        return sum(p) / sum(pi / mi for pi, mi in zip(p, mu))
-    return 1.0 / sum(1.0 / m for m in mu)
+    return _mm(p, aspect_scores(run, gt, schema, cfg), variant)
 
 
 def generate_ideal_rankings(
@@ -320,14 +324,34 @@ def estimate_upper_bound(
     return max(score(rl) for rl in candidates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """Scores for a full run set over a full topic set under one measure."""
+    """Scores for a full run set over a full topic set under one measure.
+
+    ``values`` is a read-only float64 array, one row per entry of
+    ``run_tags`` and one column per entry of ``topic_ids``, both sorted.
+    Construction checks that every score lies in [0, 1] up to rounding
+    slack and clamps it into that range.
+    """
 
     measure: str
     run_tags: tuple[str, ...]
     topic_ids: tuple[str, ...]
-    scores: dict[tuple[str, str], float]
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        bad = np.argwhere(~((values >= -_SCORE_SLACK) & (values <= 1.0 + _SCORE_SLACK)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"score out of range for ({self.run_tags[i]}, {self.topic_ids[j]}): "
+                f"{float(values[i, j])!r}"
+            )
+        # Not np.clip, which keeps -0.0 and so would print "-0.0000".
+        values = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def build(
@@ -335,31 +359,28 @@ class ScoreMatrix:
     ) -> "ScoreMatrix":
         run_tags = tuple(sorted({r for r, _ in scores}))
         topic_ids = tuple(sorted({t for _, t in scores}))
-        table = {}
-        for r in run_tags:
-            for t in topic_ids:
+        values = np.empty((len(run_tags), len(topic_ids)))
+        for i, r in enumerate(run_tags):
+            for j, t in enumerate(topic_ids):
                 if (r, t) not in scores:
                     raise ValueError(f"matrix {measure!r} is missing cell ({r}, {t})")
-                s = scores[(r, t)]
-                if not -_SCORE_SLACK <= s <= 1.0 + _SCORE_SLACK:
-                    raise ValueError(f"score out of range for ({r}, {t}): {s!r}")
-                table[(r, t)] = min(1.0, max(0.0, s))
-        return cls(measure, run_tags, topic_ids, table)
+                values[i, j] = scores[(r, t)]
+        return cls(measure, run_tags, topic_ids, values)
 
     def score(self, run_tag: str, topic_id: str) -> float:
-        return self.scores[(run_tag, topic_id)]
+        return float(
+            self.values[self.run_tags.index(run_tag), self.topic_ids.index(topic_id)]
+        )
 
     def mean(self, run_tag: str) -> float:
-        return sum(self.scores[(run_tag, t)] for t in self.topic_ids) / len(
-            self.topic_ids
-        )
+        # Python's left-to-right sum, not numpy's pairwise one: the printed
+        # means must not move.
+        row = self.values[self.run_tags.index(run_tag)].tolist()
+        return sum(row) / len(row)
 
     def topic_scores(self, topic_id: str) -> list[float]:
         """Scores of all runs on one topic, in run_tag order."""
-        return [self.scores[(r, topic_id)] for r in self.run_tags]
-
-
-ORDER_FAMILIES = tuple(m.short for m in Metric)
+        return self.values[:, self.topic_ids.index(topic_id)].tolist()
 
 
 def score_runs(
@@ -388,56 +409,34 @@ def score_runs(
         if rf.run_tag in by_tag:
             raise ConfigError(f"duplicate run tag {rf.run_tag!r}")
         by_tag[rf.run_tag] = rf
+    tags = tuple(sorted(by_tag))
     topics = gt.topics()
     if not topics:
         raise ConfigError("ground truth has no judged topics")
 
     space = build_tuple_space(schema)
     orders = {m: build_order(space, schema, m) for m in metrics}
-    weight_sets: dict[tuple[Metric, str], WeightAssignment] = {}
-    for kind in kinds:
-        for m in metrics:
-            policy = weight_policy if kind == NDCG else "binary"
-            weight_sets[(m, kind)] = assign_weights(orders[m], policy)
-
-    configs = {
-        kind: MeasureConfig(
-            kind,
-            depth=depth,
-            log_base=log_base,
-            aspect_gains=aspect_gains,
-            aspect_relevant=aspect_relevant,
-        )
-        for kind in kinds
-    }
-
+    p = _resolve_importance(schema, importance)
+    if mm_variant not in (CANONICAL, TABLE):
+        raise ConfigError(f"unknown harmonic-mean variant {mm_variant!r}")
     matrices: dict[str, ScoreMatrix] = {}
-
-    def fill(label: str, score_one: Callable[[RankedList, MeasureConfig], float], cfg):
-        cells = {}
-        for tag, rf in by_tag.items():
-            for topic in topics:
-                rl = rf.ranking(topic)
-                cells[(tag, topic)] = score_one(rl, cfg)
-        matrices[label] = ScoreMatrix.build(label, cells)
-
     for kind in kinds:
-        cfg = configs[kind]
-        for m in metrics:
-            w = weight_sets[(m, kind)]
-            fill(
-                f"{m.short}-{kind}",
-                lambda rl, c, w=w: order_score(rl, gt, w, c),
-                cfg,
-            )
-        fill(
-            f"CAM-{kind}",
-            lambda rl, c: cam_score(rl, gt, schema, c, importance),
-            cfg,
-        )
-        fill(
-            f"MM-{kind}",
-            lambda rl, c: mm_score(rl, gt, schema, c, importance, mm_variant),
-            cfg,
-        )
+        cfg = MeasureConfig(kind, depth, log_base, aspect_gains, aspect_relevant)
+        policy = weight_policy if kind == NDCG else "binary"
+        weights = [assign_weights(orders[m], policy) for m in metrics]
+        tables = [_aspect_table(a, cfg) for a in schema.aspects]
+        labels = [f"{m.short}-{kind}" for m in metrics] + [f"CAM-{kind}", f"MM-{kind}"]
+        # values[k, i, j]: measure labels[k], run tags[i], topic topics[j]
+        values = np.empty((len(labels), len(tags), len(topics)))
+        for j, topic in enumerate(topics):
+            judged = gt.judged(topic)
+            columns = [_weight_column(judged, w) for w in weights]
+            aspect_columns = _aspect_columns(judged, tables)
+            for i, tag in enumerate(tags):
+                ranking = by_tag[tag].ranking(topic)
+                mu = [_score(ranking, column, cfg) for column in aspect_columns]
+                scores = [_score(ranking, column, cfg) for column in columns]
+                values[:, i, j] = [*scores, _cam(p, mu), _mm(p, mu, mm_variant)]
+        for label, cells in zip(labels, values):
+            matrices[label] = ScoreMatrix(label, tags, topics, cells)
     return matrices

@@ -148,18 +148,19 @@ _BINARY = "binary"
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Non-negative integer weight per tuple, constant on order classes and
-    non-increasing with distance from the best tuple."""
+    """Non-negative integer weight per class of ``order``, non-increasing
+    with distance from the best tuple; a tuple weighs what its class does."""
 
     policy: str
-    weights: dict[LabelTuple, int]
+    order: DistanceOrder
+    per_class: tuple[int, ...]
 
     def of(self, t: LabelTuple) -> int:
-        return self.weights[t]
+        return self.per_class[self.order.class_of(t)]
 
     @property
     def is_binary(self) -> bool:
-        return set(self.weights.values()) <= {0, 1}
+        return set(self.per_class) <= {0, 1}
 
 
 def _class_weights(policy: str | Sequence[int], n_classes: int) -> tuple[str, list[int]]:
@@ -197,18 +198,18 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
     non-increasing list of non-negative integers, one per class.
     """
     name, per_class = _class_weights(policy, order.n_classes)
-    weights = {
-        t: per_class[i] for i, cls in enumerate(order.classes) for t in cls.members
-    }
-    return WeightAssignment(name, weights)
+    return WeightAssignment(name, order, tuple(per_class))
 
 
 def is_order_preserving(w: WeightAssignment, order: DistanceOrder) -> bool:
     """True iff weights are constant on classes and non-increasing across them."""
     previous = None
     for cls in order.classes:
-        values = {w.weights.get(t) for t in cls.members}
-        if len(values) != 1 or None in values:
+        try:
+            values = {w.of(t) for t in cls.members}
+        except KeyError:
+            return False
+        if len(values) != 1:
             return False
         (value,) = values
         if previous is not None and value > previous:

@@ -29,11 +29,9 @@ def render_scores(matrix: ScoreMatrix, meta: Mapping[str, object] | None = None)
     """Rows ``run_tag topic measure score`` (4 decimals), grouped by run with
     an ``all`` pseudo-topic row carrying the mean over topics."""
     lines = _headers(meta)
-    for run in matrix.run_tags:
-        for topic in matrix.topic_ids:
-            lines.append(
-                f"{run}\t{topic}\t{matrix.measure}\t{matrix.score(run, topic):.4f}"
-            )
+    for run, row in zip(matrix.run_tags, matrix.values.tolist()):
+        for topic, score in zip(matrix.topic_ids, row):
+            lines.append(f"{run}\t{topic}\t{matrix.measure}\t{score:.4f}")
         lines.append(f"{run}\t{ALL_TOPIC}\t{matrix.measure}\t{matrix.mean(run):.4f}")
     return "\n".join(lines) + "\n"
 

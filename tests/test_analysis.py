@@ -277,8 +277,8 @@ def test_dp_validation(dp_matrix):
 
 
 def test_select_best_runs_breaks_ties_by_tag():
-    m = grid("X", {"1": [0.9, 0.9, 0.1], "2": [0.1, 0.5, 0.9]})
-    assert select_best_runs(m) == {"1": "r1", "2": "r3"}
+    m = grid("X", {"1": [0.9, 0.9, 0.1], "2": [0.1, 0.5, 0.9], "3": [0.4, 0.4, 0.4]})
+    assert select_best_runs(m) == {"1": "r1", "2": "r3", "3": "r1"}
 
 
 AUDIT_QRELS = """\

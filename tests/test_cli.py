@@ -334,6 +334,14 @@ def test_analyze_audit_inputs_come_as_a_trio(env, capsys):
     assert evaluate(env) == 0
     assert analyze(env, env / "reports", "--runs", str(env / "runs")) == 2
     assert "together" in capsys.readouterr().err
+    # paths from the config count too: runs and qrels without a schema
+    ini = env / "audit.ini"
+    ini.write_text(f"[files]\nqrels = {env / 'qrels.txt'}\nruns = {env / 'runs'}\n")
+    assert analyze(env, env / "reports", "--config", str(ini)) == 2
+    assert "together" in capsys.readouterr().err
+    ini.write_text(ini.read_text() + f"schema = {env / 'schema.txt'}\n")
+    assert analyze(env, env / "reports", "--config", str(ini)) == 0
+    assert (env / "reports" / "zero_aspect.tsv").is_file()
 
 
 # ---------------------------------------------------------------------------

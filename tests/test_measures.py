@@ -28,8 +28,10 @@ from aspecteval import (
     dcg,
     estimate_upper_bound,
     generate_ideal_rankings,
+    ground_truth_from,
     mm_score,
     ndcg,
+    parse_schema,
     score_runs,
     order_score,
 )
@@ -40,6 +42,7 @@ from conftest import (
     POOL,
     pool_runs,
     ranking,
+    run_of,
     run_tag_for,
 )
 
@@ -388,6 +391,19 @@ def test_score_matrix_build_and_means():
         ScoreMatrix.build("X", {("a", "1"): 0.5, ("b", "2"): 0.5})
     with pytest.raises(ValueError, match="out of range"):
         ScoreMatrix.build("X", {("a", "1"): 1.5})
+    with pytest.raises(ValueError, match="read-only"):
+        m.values[0, 0] = 0.25
+    # clamped like max(0.0, s): a negative zero must not print as -0.0000
+    assert math.copysign(1.0, ScoreMatrix.build("X", {("a", "1"): -0.0}).score("a", "1")) == 1.0
+
+
+def test_score_matrix_mean_sums_left_to_right():
+    rng = random.Random(5)
+    cells = {(r, f"t{j:03d}"): rng.random() for r in "abcd" for j in range(200)}
+    m = ScoreMatrix.build("X", cells)
+    for r in m.run_tags:
+        row = [cells[(r, t)] for t in m.topic_ids]
+        assert m.mean(r) == sum(row) / len(row)
 
 
 def test_score_runs_rejects_duplicate_tags(schema, gt):
@@ -404,3 +420,48 @@ def test_missing_topic_scores_zero(schema, gt):
     matrices = score_runs([present, absent], gt, schema, kinds=("ndcg",))
     assert matrices["EUCL-ndcg"].score("sysA", "1") == pytest.approx(1.0)
     assert matrices["EUCL-ndcg"].score("sysB", "1") == 0.0
+
+
+def test_score_runs_equals_the_scalar_scorers_on_every_cell():
+    rng = random.Random(1202)
+    lines = []
+    for a, n_grades in enumerate((4, 3, 3)):
+        lines.append(f"aspect a{a}")
+        milli = rng.randint(0, 1000)
+        for g in range(n_grades):
+            milli += rng.randint(0, 2000) if g else 0
+            lines.append(f"label g{g} {milli / 1000:.3f}")
+    # a middle trigger grade keeps the best and the all-worst tuple feasible
+    lines.append(f"couple a0 g{rng.randint(1, 2)} a1 g{rng.randint(0, 2)}")
+    schema = parse_schema("\n".join(lines))
+    space = build_tuple_space(schema)
+    assert len(space) < 4 * 3 * 3
+    gt = ground_truth_from(
+        [(t, f"d{d}", rng.choice(space.tuples)) for t in "123" for d in range(8)], schema
+    )
+    docs = [f"d{d}" for d in range(8)] + ["u1", "u2", "u3"]  # u* are unjudged
+    runs = [
+        run_of(f"s{i}", {t: rng.sample(docs, rng.randint(1, len(docs))) for t in topics})
+        for i, topics in enumerate(["123", "13", "2", ""])
+    ]
+    importance = {"a0": 0.5, "a1": 0.3, "a2": 0.2}
+    gains = {"a0": {"g0": 0, "g1": 1, "g2": 1, "g3": 7}, "a1": {"g0": 0, "g1": 2, "g2": 3}}
+    relevant = {"a0": ["g2", "g3"], "a1": ["g2"]}
+    settings = dict(depth=5, log_base=10, aspect_gains=gains, aspect_relevant=relevant)
+    clamp = lambda s: min(1.0, max(0.0, s))
+    for variant in ("canonical", "table"):
+        matrices = score_runs(
+            runs, gt, schema, importance=importance, mm_variant=variant, **settings
+        )
+        for kind, policy in (("ndcg", "distinct"), ("ap", "binary")):
+            cfg = MeasureConfig(kind, **settings)
+            weights = {m: assign_weights(build_order(space, schema, m), policy) for m in Metric}
+            for rf, topic in itertools.product(runs, "123"):
+                rl, tag = rf.ranking(topic), rf.run_tag
+                for m, w in weights.items():
+                    got = matrices[f"{m.short}-{kind}"].score(tag, topic)
+                    assert got == clamp(order_score(rl, gt, w, cfg)), (m, kind, tag, topic)
+                cam = cam_score(rl, gt, schema, cfg, importance)
+                mm = mm_score(rl, gt, schema, cfg, importance, variant)
+                assert matrices[f"CAM-{kind}"].score(tag, topic) == clamp(cam)
+                assert matrices[f"MM-{kind}"].score(tag, topic) == clamp(mm)

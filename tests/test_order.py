@@ -158,7 +158,7 @@ def test_distinct_weights_count_down_from_top(schema):
     w = assign_weights(order, "distinct")
     assert w.of((3, 2)) == 9
     assert w.of((0, 0)) == 0
-    assert sorted(set(w.weights.values())) == list(range(10))
+    assert sorted(set(w.per_class)) == list(range(10))
     assert is_order_preserving(w, order)
 
 
@@ -176,9 +176,9 @@ def test_single_class_order_weighs_everything_zero():
     s = parse_schema("aspect a\nlabel x 0\nlabel y 0\n")
     order = build_order(build_tuple_space(s), s, Metric.EUCLIDEAN)
     assert order.n_classes == 1
-    assert set(assign_weights(order, "distinct").weights.values()) == {0}
+    assert set(assign_weights(order, "distinct").per_class) == {0}
     # the all-worst tuple must weigh 0 under every built-in policy
-    assert set(assign_weights(order, "binary").weights.values()) == {0}
+    assert set(assign_weights(order, "binary").per_class) == {0}
 
 
 def test_explicit_weights_validated(schema):
