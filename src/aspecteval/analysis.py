@@ -11,10 +11,9 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DegenerateInput, MatrixMismatch
 from .measures import ScoreMatrix
@@ -24,17 +23,28 @@ from .schema import AspectSchema, GroundTruth
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-aware Kendall correlation (tau-b) between two score lists.
 
-    Raises DegenerateInput when either list is constant, where tau is
-    undefined; callers treat such topics as missing rather than 0.
+    An exact O(n^2) pair count: S = concordant - discordant and the untied
+    pairs nx, ny are ints, and tau = S / sqrt(nx) / sqrt(ny) in that order,
+    as the common sort-based implementations compute it, to the last bit.
+    Raises ValueError on NaN, and DegenerateInput when either list is
+    constant, where tau is undefined; callers treat such topics as missing
+    rather than 0.
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("need at least two scores per list")
-    if len(set(x)) == 1 or len(set(y)) == 1:
+    x, y = np.asarray(x), np.asarray(y)
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("tau is undefined for NaN scores")
+    # Comparisons, not differences, so that +-inf order (inf - inf is NaN).
+    sx = (x[:, None] > x).astype(np.int64) - (x[:, None] < x)
+    sy = (y[:, None] > y).astype(np.int64) - (y[:, None] < y)
+    nx, ny = int(np.count_nonzero(sx)) // 2, int(np.count_nonzero(sy)) // 2
+    if nx == 0 or ny == 0:
         raise DegenerateInput("tau is undefined for a constant score list")
-    tau = stats.kendalltau(x, y, variant="b").statistic
-    return max(-1.0, min(1.0, float(tau)))
+    s = int((sx * sy).sum()) // 2
+    return max(-1.0, min(1.0, float(s / np.sqrt(nx) / np.sqrt(ny))))
 
 
 EQUIVALENCE_THRESHOLD = 0.9
@@ -208,10 +218,15 @@ class ZeroAspectReport:
     total: ZeroAspectRow
 
 
-def _runs_by_tag(runs) -> Mapping[str, object]:
-    if isinstance(runs, Mapping):
-        return runs
-    return {rf.run_tag: rf for rf in runs}
+def _best_rankings(best: Mapping[str, str], runs) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """(topic, doc ids of the topic's best run), in sorted topic order."""
+    by_tag = {rf.run_tag: rf for rf in runs}
+    for topic in sorted(best):
+        try:
+            rf = by_tag[best[topic]]
+        except KeyError:
+            raise ConfigError(f"best run {best[topic]!r} not among the loaded runs") from None
+        yield topic, rf.ranking(topic).doc_ids
 
 
 def zero_aspect_at_k(
@@ -230,16 +245,10 @@ def zero_aspect_at_k(
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
-    by_tag = _runs_by_tag(runs)
     per_rank_count = [0] * k
     per_rank_slots = [0] * k
-    for topic in sorted(best):
-        try:
-            rf = by_tag[best[topic]]
-        except KeyError:
-            raise ConfigError(f"best run {best[topic]!r} not among the loaded runs") from None
-        docs = rf.ranking(topic).doc_ids[:k]
-        for i, doc in enumerate(docs):
+    for topic, docs in _best_rankings(best, runs):
+        for i, doc in enumerate(docs[:k]):
             per_rank_slots[i] += 1
             t = gt.get(topic, doc)
             if t is None or sum(t) == 0:
@@ -287,14 +296,8 @@ def quality_bands(
         if lo <= previous_hi:
             raise ConfigError("rank bands must be disjoint and ascending")
         previous_hi = hi
-    by_tag = _runs_by_tag(runs)
     sums: dict[tuple[int, int], list[int]] = {band: [] for band in bands}
-    for topic in sorted(best):
-        try:
-            rf = by_tag[best[topic]]
-        except KeyError:
-            raise ConfigError(f"best run {best[topic]!r} not among the loaded runs") from None
-        docs = rf.ranking(topic).doc_ids
+    for topic, docs in _best_rankings(best, runs):
         for lo, hi in bands:
             for doc in docs[lo - 1 : hi]:
                 t = gt.get(topic, doc)

@@ -315,16 +315,22 @@ class GroundTruth:
     """Judged label tuples keyed by (topic_id, doc_id)."""
 
     entries: dict[tuple[str, str], LabelTuple]
+    _by_topic: dict[str, dict[str, LabelTuple]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_topic = {}
+        for (t, d), lt in self.entries.items():
+            self._by_topic.setdefault(t, {})[d] = lt
 
     def get(self, topic_id: str, doc_id: str) -> LabelTuple | None:
         return self.entries.get((topic_id, doc_id))
 
     def topics(self) -> tuple[str, ...]:
-        return tuple(sorted({t for t, _ in self.entries}))
+        return tuple(sorted(self._by_topic))
 
     def judged(self, topic_id: str) -> dict[str, LabelTuple]:
         """doc_id -> label tuple for one topic (insertion order preserved)."""
-        return {d: lt for (t, d), lt in self.entries.items() if t == topic_id}
+        return dict(self._by_topic.get(topic_id, {}))
 
     def __len__(self) -> int:
         return len(self.entries)

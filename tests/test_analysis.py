@@ -53,16 +53,30 @@ def test_kendall_tau_endpoints():
     assert kendall_tau([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(4.0 / 6.0)
 
 
+def clamped_scipy_tau_b(x, y):
+    return max(-1.0, min(1.0, float(stats.kendalltau(x, y, variant="b").statistic)))
+
+
 def test_kendall_tau_matches_pair_counting_oracle():
+    """Pair-counting oracle to 1e-12, and clamped scipy tau-b exactly: the
+    correlation TSVs print taus that must not move by a last digit."""
     rng = random.Random(555)
-    for _ in range(40):
-        n = rng.randint(2, 15)
+    draws = [
+        lambda: rng.randint(0, 4),  # heavily tied grades
+        lambda: round(rng.random(), 4),  # score-like, as printed in score tables
+        lambda: rng.choice((0.0, 0.25, 1 / 3, 0.5, 0.7917, 1.0)),  # tied scores
+    ]
+    for i in range(600):
+        draw = draws[i % len(draws)]
+        n = rng.randint(2, 24)
         while True:
-            x = [rng.randint(0, 4) for _ in range(n)]
-            y = [rng.randint(0, 4) for _ in range(n)]
+            x = [draw() for _ in range(n)]
+            y = [draw() for _ in range(n)]
             if len(set(x)) > 1 and len(set(y)) > 1:
                 break
-        assert kendall_tau(x, y) == pytest.approx(tau_b_oracle(x, y), abs=1e-12)
+        tau = kendall_tau(x, y)
+        assert tau == pytest.approx(tau_b_oracle(x, y), abs=1e-12)
+        assert tau == clamped_scipy_tau_b(x, y)
 
 
 def test_kendall_tau_degenerate_and_invalid():
@@ -74,6 +88,15 @@ def test_kendall_tau_degenerate_and_invalid():
         kendall_tau([1, 2], [1, 2, 3])
     with pytest.raises(ValueError, match="two scores"):
         kendall_tau([1.0], [1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        kendall_tau([1.0, math.nan, 2.0], [1, 2, 3])
+    with pytest.raises(ValueError, match="NaN"):
+        kendall_tau([1, 2, 3], [math.nan, math.nan, math.nan])
+    # Infinite scores still order: inf - inf would be NaN, comparisons are not.
+    assert kendall_tau([-math.inf, 0.0, math.inf], [1, 2, 3]) == 1.0
+    assert kendall_tau([math.inf, math.inf, 1.0], [3, 2, 1]) == clamped_scipy_tau_b(
+        [math.inf, math.inf, 1.0], [3, 2, 1]
+    )
 
 
 def matrix(measure, cells):

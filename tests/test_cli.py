@@ -2,8 +2,14 @@
 temp directory, exit codes, config-file precedence, and byte-identical
 reruns."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import aspecteval
 from aspecteval import ScoreMatrix
 from aspecteval.cli import main
 from aspecteval.reports import parse_scores, render_scores
@@ -84,6 +90,15 @@ def evaluate(env, *extra):
 
 # ---------------------------------------------------------------------------
 # order
+
+
+def test_cli_import_does_not_load_scipy():
+    """numpy is the only runtime dependency; scipy serves the test oracles."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aspecteval.__file__).resolve().parents[1]))
+    code = "import aspecteval.cli, sys; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_order_dump_to_stdout(env, capsys):

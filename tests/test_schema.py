@@ -137,13 +137,18 @@ def test_apply_rules_chains_until_stable():
 
 def test_ground_truth_accessors(schema):
     gt = ground_truth_from(
-        [("1", "d1", (1, 2)), ("2", "d1", (3, 1)), ("1", "d2", (0, 0))], schema
+        [("2", "d9", (2, 0)), ("1", "d1", (1, 2)), ("2", "d1", (3, 1)), ("1", "d2", (0, 0))],
+        schema,
     )
     assert gt.topics() == ("1", "2")
     assert gt.get("1", "d1") == (1, 2)
     assert gt.get("1", "missing") is None
     assert gt.judged("1") == {"d1": (1, 2), "d2": (0, 0)}
-    assert len(gt) == 3
+    assert list(gt.judged("2").items()) == [("d9", (2, 0)), ("d1", (3, 1))]
+    assert gt.judged("unjudged") == {}
+    gt.judged("1").clear()
+    assert gt.judged("1") == {"d1": (1, 2), "d2": (0, 0)}
+    assert len(gt) == 4
 
 
 def test_ground_truth_rejects_rule_violations(schema):
