@@ -73,10 +73,7 @@ from .order import (
     assign_weights,
     build_order,
     check_extends_partial_order,
-    distance_key,
-    embed,
     format_order_dump,
-    is_order_preserving,
 )
 from .schema import (
     Aspect,
@@ -103,7 +100,7 @@ __all__ = [
     # order
     "DistanceClass", "DistanceOrder", "Metric", "WeightAssignment",
     "assign_weights", "build_order", "check_extends_partial_order",
-    "distance_key", "embed", "format_order_dump", "is_order_preserving",
+    "format_order_dump",
     # measures
     "MeasureConfig", "RankedList", "ScoreMatrix", "aspect_scores",
     "average_precision", "cam_score", "dcg", "estimate_upper_bound",

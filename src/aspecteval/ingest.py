@@ -38,13 +38,10 @@ class RunFile:
     def topic_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.topics))
 
-    def ranking(self, topic_id: str, depth: int | None = None) -> RankedList:
+    def ranking(self, topic_id: str) -> RankedList:
         """Ranked doc ids for a topic; empty if the run skipped the topic."""
         entries = self.topics.get(topic_id, ())
-        docs = tuple(e.doc_id for e in entries)
-        if depth is not None:
-            docs = docs[:depth]
-        return RankedList(topic_id, docs)
+        return RankedList(topic_id, tuple(e.doc_id for e in entries))
 
 
 def _iter_lines(text: str) -> Iterable[tuple[int, str]]:

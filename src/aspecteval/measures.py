@@ -28,6 +28,7 @@ TABLE = "table"
 
 _IMPORTANCE_TOL = 1e-9
 _SCORE_SLACK = 1e-9
+_EXHAUSTIVE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -308,15 +309,14 @@ def estimate_upper_bound(
     judged: Mapping[str, LabelTuple],
     schema: AspectSchema,
     gain_vectors: Sequence[Sequence[float]] | None = None,
-    exhaustive_limit: int = 8,
 ) -> float:
     """Best achievable score over candidate ideal rankings.
 
-    For topics with at most ``exhaustive_limit`` judged documents every
+    For topics with at most ``_EXHAUSTIVE_LIMIT`` judged documents every
     permutation is tried, making the bound exact there.
     """
     candidates = generate_ideal_rankings(topic_id, judged, schema, gain_vectors)
-    if len(judged) <= exhaustive_limit:
+    if len(judged) <= _EXHAUSTIVE_LIMIT:
         candidates.extend(
             RankedList(topic_id, perm)
             for perm in itertools.permutations(sorted(judged))

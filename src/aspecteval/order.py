@@ -1,21 +1,28 @@
 """Distance orders over tuple spaces and order-preserving weight assignments.
 
 Tuples are embedded as integer coordinate vectors (the schema's scaled embed
-values) and ranked by distance from the best tuple.  Comparisons use exact
-integer keys: squared distance for Euclidean, the plain sum for Manhattan,
-the max component for Chebyshev.  Ties form equivalence classes; class 0 is
-closest to the best tuple.
+values) and ranked by distance from the best tuple.  Each aspect gets one
+table of steps, the best grade's value minus each grade's value, so a key is
+a sum over the tuple's grades (squared steps for Euclidean, plain steps for
+Manhattan) or their max (Chebyshev), in exact integers.  Ties form
+equivalence classes; class 0 is closest to the best tuple.
+
+The check that an order extends Pareto dominance takes a suffix maximum of
+class indices over the grade grid, so it is linear in the grid size; the
+test suite keeps the dense pairwise check as its oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, MissingBestTuple, PolicyViolation
+from .errors import ConfigError, MissingBestTuple, PolicyViolation
 from .schema import AspectSchema, LabelTuple, TupleSpace
 
 
@@ -37,28 +44,6 @@ class Metric(Enum):
     @property
     def short(self) -> str:
         return {"euclidean": "EUCL", "manhattan": "MANH", "chebyshev": "CHEB"}[self.value]
-
-
-def embed(t: LabelTuple, schema: AspectSchema) -> tuple[int, ...]:
-    """Integer coordinates of a label tuple under the schema's embedding."""
-    schema.check_tuple(t)
-    return tuple(vals[g] for vals, g in zip(schema.scaled_values, t))
-
-
-def distance_key(p: Sequence[int], q: Sequence[int], metric: Metric) -> int:
-    """Exact comparison key for the distance between two coordinate vectors.
-
-    For Euclidean this is the *squared* distance, which orders identically
-    and stays integral.
-    """
-    if len(p) != len(q):
-        raise DimensionMismatch(f"coordinate lengths differ: {len(p)} vs {len(q)}")
-    deltas = [a - b for a, b in zip(p, q)]
-    if metric is Metric.EUCLIDEAN:
-        return sum(d * d for d in deltas)
-    if metric is Metric.MANHATTAN:
-        return sum(abs(d) for d in deltas)
-    return max((abs(d) for d in deltas), default=0)
 
 
 @dataclass(frozen=True)
@@ -95,8 +80,28 @@ class DistanceOrder:
         except KeyError:
             raise KeyError(f"tuple {t!r} is not in this order") from None
 
-    def tuples(self) -> tuple[LabelTuple, ...]:
-        return tuple(t for cls in self.classes for t in cls.members)
+
+def _table_lookup(
+    tables: Sequence[Mapping[int, int]],
+    tuples: Iterable[LabelTuple],
+    schema: AspectSchema,
+    combine: Callable[[Iterable[int]], int] = sum,
+) -> Iterator[int]:
+    """Yield ``combine(tables[i][t[i]] for each aspect i)`` for every tuple ``t``.
+
+    The tables are keyed by grade index, so a grade outside an aspect's
+    range, negative ones included, misses instead of wrapping around; such a
+    tuple, or one of the wrong length, raises as ``schema.check_tuple`` does.
+    """
+    for t in tuples:
+        if len(t) != len(tables):
+            schema.check_tuple(t)
+        try:
+            value = combine(map(getitem, tables, t))
+        except KeyError:
+            schema.check_tuple(t)
+            raise
+        yield value
 
 
 def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> DistanceOrder:
@@ -105,13 +110,16 @@ def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> Dist
     Members within a class are stored in descending lexicographic order of
     their grade indices, which makes dumps and comparisons deterministic.
     """
-    best = schema.best_tuple
-    if best not in space:
+    if schema.best_tuple not in space:
         raise MissingBestTuple("tuple space does not contain the best tuple")
-    anchor = embed(best, schema)
+    power = 2 if metric is Metric.EUCLIDEAN else 1
+    steps = [
+        {g: (vals[-1] - v) ** power for g, v in enumerate(vals)}
+        for vals in schema.scaled_values
+    ]
+    combine = max if metric is Metric.CHEBYSHEV else sum
     groups: dict[int, list[LabelTuple]] = {}
-    for t in space:
-        key = distance_key(embed(t, schema), anchor, metric)
+    for key, t in zip(_table_lookup(steps, space, schema, combine), space):
         groups.setdefault(key, []).append(t)
     classes = tuple(
         DistanceClass(key, tuple(sorted(groups[key], reverse=True)))
@@ -123,23 +131,31 @@ def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> Dist
 def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> bool:
     """True iff the order never ranks a dominated tuple above its dominator.
 
-    Checks every pair (a, b) with b at least as good as a on all aspects and
-    verifies class(b) <= class(a).  Vectorized so that property tests over
-    thousands of random schemas stay fast.
+    Tuple b dominates a when b's embed value is at least a's on every
+    aspect; b must then sit in a class no later than a's.  The check writes
+    each tuple's class index into a grid over all grade combinations (-1
+    where the order has no tuple), takes a running maximum from the top
+    grade down along every axis, and reads each tuple's cell with every
+    grade lowered to the first grade of equal embed value, since equal
+    values dominate each other.  That cell holds the latest class among the
+    tuple's dominators.  Only grade and class indices enter numpy, so embed
+    values of any size stay exact.
     """
-    tuples = order.tuples()
-    coords = np.asarray([embed(t, schema) for t in tuples], dtype=np.int64)
-    cls = np.asarray([order.class_of(t) for t in tuples], dtype=np.int64)
-    n = len(tuples)
-    chunk = max(1, min(n, 4_000_000 // max(1, n * schema.n_aspects)))
-    for start in range(0, n, chunk):
-        block = coords[start : start + chunk]  # (c, k)
-        # dominates[i, j]: tuple j is >= tuple i on every aspect
-        dominates = (coords[None, :, :] >= block[:, None, :]).all(axis=2)
-        worse_ranked = cls[None, :] > cls[start : start + chunk, None]
-        if (dominates & worse_ranked).any():
-            return False
-    return True
+    dims = tuple(a.n_grades for a in schema.aspects)
+    offsets = [
+        {g: g * math.prod(dims[i + 1 :]) for g in range(n)} for i, n in enumerate(dims)
+    ]
+    # one entry per distinct tuple, with the class that class_of reports
+    index = order._index
+    at = np.fromiter(_table_lookup(offsets, index, schema), dtype=np.intp, count=len(index))
+    cls = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+    grid = np.full(math.prod(dims), -1, dtype=np.int64)
+    grid[at] = cls
+    grid = grid.reshape(dims)
+    for axis, vals in enumerate(schema.scaled_values):
+        grid = np.flip(np.maximum.accumulate(np.flip(grid, axis), axis=axis), axis)
+        grid = grid.take([vals.index(v) for v in vals], axis=axis)
+    return bool((grid.reshape(-1)[at] <= cls).all())
 
 
 _DISTINCT = "distinct"
@@ -199,23 +215,6 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
     """
     name, per_class = _class_weights(policy, order.n_classes)
     return WeightAssignment(name, order, tuple(per_class))
-
-
-def is_order_preserving(w: WeightAssignment, order: DistanceOrder) -> bool:
-    """True iff weights are constant on classes and non-increasing across them."""
-    previous = None
-    for cls in order.classes:
-        try:
-            values = {w.of(t) for t in cls.members}
-        except KeyError:
-            return False
-        if len(values) != 1:
-            return False
-        (value,) = values
-        if previous is not None and value > previous:
-            return False
-        previous = value
-    return True
 
 
 def format_order_dump(order: DistanceOrder) -> str:

@@ -85,6 +85,26 @@ def ref_correlation(table_a, table_b):
 
 
 # ---------------------------------------------------------------------------
+# Pareto dominance
+
+
+def ref_extends_dominance(order, schema):
+    """Dense pairwise check: no tuple whose embed values are at least another
+    tuple's on every aspect sits in a later class.  O(n^2 * aspects) memory,
+    so keep it to small schemas; embed values too large for int64 make numpy
+    fall back to exact Python-int object arrays."""
+    members = [(t, i) for i, cls in enumerate(order.classes) for t in cls.members]
+    coords = np.asarray(
+        [[vals[g] for vals, g in zip(schema.scaled_values, t)] for t, _ in members]
+    )
+    cls = np.asarray([i for _, i in members])
+    # dominates[a, b]: tuple b is at least tuple a on every aspect
+    dominates = (coords[None, :, :] >= coords[:, None, :]).all(axis=2)
+    ranked_worse = cls[None, :] > cls[:, None]
+    return not (dominates & ranked_worse).any()
+
+
+# ---------------------------------------------------------------------------
 # paired bootstrap
 
 

@@ -40,7 +40,6 @@ def test_parse_run_orders_by_score_then_doc():
     assert run.ranking("1").doc_ids == ("docC", "docB", "docA")
     # score tie at 7.5 resolved by doc id
     assert run.ranking("2").doc_ids == ("docA", "docB")
-    assert run.ranking("1", depth=2).doc_ids == ("docC", "docB")
     assert run.ranking("99").doc_ids == ()
 
 

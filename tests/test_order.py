@@ -6,20 +6,22 @@ import random
 import pytest
 
 from aspecteval import (
+    DimensionMismatch,
+    DistanceClass,
+    DistanceOrder,
     Metric,
     MissingBestTuple,
     PolicyViolation,
+    SchemaError,
     TupleSpace,
     assign_weights,
     build_order,
     build_tuple_space,
     check_extends_partial_order,
-    distance_key,
-    embed,
     format_order_dump,
-    is_order_preserving,
     parse_schema,
 )
+from reference_impl import ref_extends_dominance
 
 SCHEMA_TEMPLATE = """\
 aspect relevance
@@ -91,11 +93,29 @@ def test_golden_class_chains(values, metric):
 
 
 def test_distance_keys_are_exact_integers(schema):
-    best = embed((3, 2), schema)
-    assert best == (6, 6)
-    assert distance_key(embed((2, 1), schema), best, Metric.EUCLIDEAN) == 13
-    assert distance_key(embed((2, 1), schema), best, Metric.MANHATTAN) == 5
-    assert distance_key(embed((2, 1), schema), best, Metric.CHEBYSHEV) == 3
+    # scaled embeds: best (3, 2) -> (6, 6), (2, 1) -> (4, 3)
+    space = build_tuple_space(schema)
+    for metric, key in ((Metric.EUCLIDEAN, 13), (Metric.MANHATTAN, 5), (Metric.CHEBYSHEV, 3)):
+        order = build_order(space, schema, metric)
+        assert order.classes[order.class_of((2, 1))].key == key
+
+
+def test_embed_values_beyond_int64_stay_exact():
+    s = parse_schema(
+        "aspect a\nlabel x 0\nlabel y 1e30\naspect b\nlabel p 0\nlabel q 1\nlabel r 2\n"
+    )
+    big = 10**30
+    expected = {
+        Metric.EUCLIDEAN: [0, 1, 4, big**2, big**2 + 1, big**2 + 4],
+        Metric.MANHATTAN: [0, 1, 2, big, big + 1, big + 2],
+        Metric.CHEBYSHEV: [0, 1, 2, big],
+    }
+    for metric, keys in expected.items():
+        order = build_order(build_tuple_space(s), s, metric)
+        assert [cls.key for cls in order.classes] == keys
+        assert all(type(cls.key) is int for cls in order.classes)
+        assert check_extends_partial_order(order, s)
+        assert ref_extends_dominance(order, s)
 
 
 def test_class_zero_is_the_best_tuple(schema):
@@ -121,36 +141,97 @@ def test_missing_best_tuple_is_an_error(schema):
         build_order(space, schema, Metric.EUCLIDEAN)
 
 
+def random_grid_schema(rng, with_rules):
+    """2-4 aspects of 2-5 grades with embed steps 0-9, so equal embed values
+    across grades are common; optionally 1-3 coupling rules that keep the
+    best and the all-worst tuple feasible."""
+    n_aspects = rng.randint(2, 4)
+    grades = [rng.randint(2, 5) for _ in range(n_aspects)]
+    lines = []
+    for i, n_grades in enumerate(grades):
+        lines.append(f"aspect a{i}")
+        value = 0
+        for j in range(n_grades):
+            value += rng.randint(0, 9) if j else 0
+            lines.append(f"label g{j} {value}")
+    for _ in range(rng.randint(1, 3) if with_rules else 0):
+        ta, fa = rng.sample(range(n_aspects), 2)
+        tl = rng.randrange(grades[ta])
+        if tl == 0:
+            fl = 0
+        elif tl == grades[ta] - 1:
+            fl = grades[fa] - 1
+        else:
+            fl = rng.randrange(grades[fa])
+        lines.append(f"couple a{ta} g{tl} a{fa} g{fl}")
+    return parse_schema("\n".join(lines) + "\n")
+
+
+def with_classes_swapped(order, i):
+    classes = list(order.classes)
+    classes[i], classes[i + 1] = classes[i + 1], classes[i]
+    return DistanceOrder(order.metric, order.schema, tuple(classes))
+
+
+def with_tuple_moved(order, t, to):
+    return DistanceOrder(order.metric, order.schema, tuple(
+        DistanceClass(cls.key, tuple(m for m in cls.members if m != t) + ((t,) if i == to else ()))
+        for i, cls in enumerate(order.classes)
+    ))
+
+
 def test_order_extends_pareto_on_random_schemas():
     rng = random.Random(271828)
-    for _ in range(40):
-        n_aspects = rng.randint(2, 4)
-        parts = []
-        for i in range(n_aspects):
-            n_grades = rng.randint(2, 5)
-            steps = [rng.randint(0, 9) for _ in range(n_grades - 1)]
-            values, acc = [0], 0
-            for s in steps:
-                acc += s
-                values.append(acc)
-            parts.append(
-                f"aspect a{i}\n"
-                + "".join(f"label g{j} {v}\n" for j, v in enumerate(values))
-            )
-        schema = parse_schema("".join(parts))
+    outcomes = set()
+    for n in range(80):
+        schema = random_grid_schema(rng, with_rules=n % 2 == 1)
         space = build_tuple_space(schema)
         for metric in Metric:
             order = build_order(space, schema, metric)
             assert check_extends_partial_order(order, schema)
+            assert ref_extends_dominance(order, schema)
+            # perturbed orders, which may or may not still extend dominance
+            perturbed = [with_tuple_moved(
+                order, rng.choice(space.tuples), rng.randrange(order.n_classes)
+            )]
+            if order.n_classes > 1:
+                perturbed.append(with_classes_swapped(order, rng.randrange(order.n_classes - 1)))
+            for p in perturbed:
+                got = check_extends_partial_order(p, schema)
+                assert got == ref_extends_dominance(p, schema)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_check_detects_a_violating_order(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
-    # swap the first two classes to break monotonicity
-    broken = type(order)(
-        order.metric, schema, (order.classes[1], order.classes[0], *order.classes[2:])
-    )
-    assert not check_extends_partial_order(broken, schema)
+    # classes: (3,2) (2,2) (3,1) (2,1) (1,2) (1,1) (3,0) (2,0) (1,0) (0,0)
+    cases = [
+        (with_classes_swapped(order, 0), False),  # best tuple ranked second
+        (with_classes_swapped(order, 1), True),  # (2,2) and (3,1) are incomparable
+        (with_classes_swapped(order, 4), False),  # (1,2) dominates (1,1)
+        (with_tuple_moved(order, (1, 2), 3), True),  # tied with incomparable (2,1)
+        (with_tuple_moved(order, (1, 2), 9), False),  # below (1,1), which it dominates
+        (with_tuple_moved(order, (0, 0), 0), False),  # worst tuple tied with the best
+    ]
+    for perturbed, extends in cases:
+        assert check_extends_partial_order(perturbed, schema) is extends
+        assert ref_extends_dominance(perturbed, schema) is extends
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [((3,), DimensionMismatch), ((3, 2, 0), DimensionMismatch),
+     ((-1, 0), SchemaError), ((4, 0), SchemaError), ((0, 3), SchemaError)],
+)
+def test_invalid_tuples_are_rejected(schema, bad, error):
+    with pytest.raises(error):
+        build_order(TupleSpace(((3, 2), bad)), schema, Metric.EUCLIDEAN)
+    order = DistanceOrder(Metric.EUCLIDEAN, schema, (
+        DistanceClass(0, ((3, 2),)), DistanceClass(1, (bad,)),
+    ))
+    with pytest.raises(error):
+        check_extends_partial_order(order, schema)
 
 
 def test_distinct_weights_count_down_from_top(schema):
@@ -159,7 +240,7 @@ def test_distinct_weights_count_down_from_top(schema):
     assert w.of((3, 2)) == 9
     assert w.of((0, 0)) == 0
     assert sorted(set(w.per_class)) == list(range(10))
-    assert is_order_preserving(w, order)
+    assert list(w.per_class) == sorted(w.per_class, reverse=True)
 
 
 def test_binary_weights_cover_the_top_half(schema):
@@ -169,7 +250,7 @@ def test_binary_weights_cover_the_top_half(schema):
     per_class = [w.of(cls.members[0]) for cls in order.classes]
     assert per_class == [1, 1, 1, 0, 0]
     assert w.is_binary
-    assert is_order_preserving(w, order)
+    assert list(w.per_class) == sorted(w.per_class, reverse=True)
 
 
 def test_single_class_order_weighs_everything_zero():
@@ -185,7 +266,7 @@ def test_explicit_weights_validated(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
     w = assign_weights(order, [9, 7, 7, 1, 0])
     assert w.of((3, 1)) == 7
-    assert is_order_preserving(w, order)
+    assert list(w.per_class) == sorted(w.per_class, reverse=True)
     with pytest.raises(PolicyViolation, match="expected 5 values"):
         assign_weights(order, [3, 2, 1])
     with pytest.raises(PolicyViolation, match="must not increase"):
