@@ -123,11 +123,20 @@ def _pair_rng(seed: int, run_a: str, run_b: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, h(lo), h(hi)]))
 
 
+# Elements per resample block (128 KiB of float64), so that the index block
+# and the gather buffer stay in cache.  The block size does not change the
+# draws: the generator's stream continues across calls.
+_BLOCK_ELEMENTS = 16 * 1024
+
+
 def _bootstrap_asl(d: np.ndarray, b_samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """Observed studentized mean and its achieved significance level.
 
     Resamples the centered differences with replacement and counts how often
     the resampled statistic is at least as extreme as the observed one.
+    Each resample's mean and standard deviation are computed with the
+    operations ``np.mean`` and ``np.std(ddof=1)`` use, in the same order, so
+    the statistic is the same to the last bit.
     """
     n = len(d)
     mean = d.mean()
@@ -136,14 +145,18 @@ def _bootstrap_asl(d: np.ndarray, b_samples: int, rng: np.random.Generator) -> t
     t_obs = mean / (sd / sqrt_n)
     w = d - mean
     hits = 0
-    chunk = max(1, 2_000_000 // n)
-    remaining = b_samples
-    while remaining > 0:
-        block = min(chunk, remaining)
-        idx = rng.integers(0, n, size=(block, n))
-        samples = w[idx]
-        sample_mean = samples.mean(axis=1)
-        sample_sd = samples.std(axis=1, ddof=1)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    buffer = np.empty((min(rows, b_samples), n))
+    for start in range(0, b_samples, rows):
+        block = min(rows, b_samples - start)
+        samples = buffer[:block]
+        # Indices lie in [0, n), so "clip" never clips; unlike "raise" it
+        # writes into the buffer without an intermediate copy.
+        np.take(w, rng.integers(0, n, size=(block, n)), out=samples, mode="clip")
+        sample_mean = samples.sum(axis=1) / n
+        samples -= sample_mean[:, None]
+        np.square(samples, out=samples)
+        sample_sd = np.sqrt(samples.sum(axis=1) / (n - 1))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_star = sample_mean / (sample_sd / sqrt_n)
         # A constant resample has sd 0: its statistic is 0 when the mean is
@@ -154,7 +167,6 @@ def _bootstrap_asl(d: np.ndarray, b_samples: int, rng: np.random.Generator) -> t
             t_star,
         )
         hits += int(np.count_nonzero(np.abs(t_star) >= abs(t_obs)))
-        remaining -= block
     return float(t_obs), hits / b_samples
 
 

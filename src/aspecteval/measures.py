@@ -135,6 +135,38 @@ def _score(run: RankedList, column: Mapping[str, float], cfg: MeasureConfig) -> 
     return average_precision(run, relevant, len(relevant), cfg.depth)
 
 
+def _ideal(column: Mapping[str, float], cfg: MeasureConfig) -> float | set[str]:
+    """The part of ``_score`` that depends on the column alone: the ideal DCG
+    for nDCG, the relevant docs for AP, by the expressions of ``ndcg`` and
+    ``_score``."""
+    if cfg.kind == NDCG:
+        ideal_gains = sorted(column.values(), reverse=True)
+        if cfg.depth is not None:
+            ideal_gains = ideal_gains[: cfg.depth]
+        return dcg(ideal_gains, cfg.log_base)
+    return {d for d, g in column.items() if g}
+
+
+def _cell(
+    docs: Sequence[str], column: Mapping[str, float], ideal: float | set[str], cfg: MeasureConfig
+) -> float:
+    """``_score`` of a ranking truncated to ``cfg.depth``, given the column's
+    ``_ideal``; equal to it to the last bit."""
+    if cfg.kind == NDCG:
+        if ideal == 0.0:
+            return 0.0
+        return dcg([column.get(d, 0.0) for d in docs], cfg.log_base) / ideal
+    if not ideal:
+        return 0.0
+    hits = 0
+    acc = 0.0
+    for rank, doc in enumerate(docs, start=1):
+        if doc in ideal:
+            hits += 1
+            acc += hits / rank
+    return acc / len(ideal)
+
+
 def _weight_column(
     judged: Mapping[str, LabelTuple], weights: WeightAssignment
 ) -> dict[str, float]:
@@ -430,13 +462,15 @@ def score_runs(
         values = np.empty((len(labels), len(tags), len(topics)))
         for j, topic in enumerate(topics):
             judged = gt.judged(topic)
+            # the metric columns first, then one column per aspect
             columns = [_weight_column(judged, w) for w in weights]
-            aspect_columns = _aspect_columns(judged, tables)
+            columns += _aspect_columns(judged, tables)
+            ideals = [_ideal(column, cfg) for column in columns]
             for i, tag in enumerate(tags):
-                ranking = by_tag[tag].ranking(topic)
-                mu = [_score(ranking, column, cfg) for column in aspect_columns]
-                scores = [_score(ranking, column, cfg) for column in columns]
-                values[:, i, j] = [*scores, _cam(p, mu), _mm(p, mu, mm_variant)]
+                docs = by_tag[tag].ranking(topic).truncated(depth)
+                scores = [_cell(docs, c, ideal, cfg) for c, ideal in zip(columns, ideals)]
+                mu = scores[len(metrics) :]
+                values[:, i, j] = [*scores[: len(metrics)], _cam(p, mu), _mm(p, mu, mm_variant)]
         for label, cells in zip(labels, values):
             matrices[label] = ScoreMatrix(label, tags, topics, cells)
     return matrices

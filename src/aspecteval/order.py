@@ -18,12 +18,15 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ConfigError, MissingBestTuple, PolicyViolation
 from .schema import AspectSchema, LabelTuple, TupleSpace
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class Metric(Enum):
@@ -82,11 +85,11 @@ class DistanceOrder:
 
 
 def _table_lookup(
-    tables: Sequence[Mapping[int, int]],
+    tables: Sequence[Mapping[int, T]],
     tuples: Iterable[LabelTuple],
     schema: AspectSchema,
-    combine: Callable[[Iterable[int]], int] = sum,
-) -> Iterator[int]:
+    combine: Callable[[Iterable[T]], R] = sum,
+) -> Iterator[R]:
     """Yield ``combine(tables[i][t[i]] for each aspect i)`` for every tuple ``t``.
 
     The tables are keyed by grade index, so a grade outside an aspect's
@@ -223,10 +226,12 @@ def format_order_dump(order: DistanceOrder) -> str:
         class 0 dist 0 : hr,c
         class 1 dist 1 : fr,c;hr,pc
     """
+    # what schema.format_tuple renders, without its per-tuple check_tuple
     schema = order.schema
+    labels = [dict(enumerate(a.labels)) for a in schema.aspects]
     lines = [
         f"class {i} dist {cls.key} : "
-        + ";".join(schema.format_tuple(t) for t in cls.members)
+        + ";".join(_table_lookup(labels, cls.members, schema, ",".join))
         for i, cls in enumerate(order.classes)
     ]
     return "\n".join(lines) + "\n"

@@ -155,6 +155,40 @@ def ref_dp(table, b_samples, alpha, seed):
     return rows, percentage
 
 
+def ref_bootstrap_asl(d, b_samples, rng):
+    """The bootstrap kernel as first written: whole (block, n) index arrays of
+    up to 2e6 elements, a fancy-index gather, then ``mean`` and
+    ``std(ddof=1)``.  The package's blocked kernel must equal it with ``==``.
+    """
+    n = len(d)
+    mean = d.mean()
+    sd = d.std(ddof=1)
+    sqrt_n = math.sqrt(n)
+    t_obs = mean / (sd / sqrt_n)
+    w = d - mean
+    hits = 0
+    chunk = max(1, 2_000_000 // n)
+    remaining = b_samples
+    while remaining > 0:
+        block = min(chunk, remaining)
+        idx = rng.integers(0, n, size=(block, n))
+        samples = w[idx]
+        sample_mean = samples.mean(axis=1)
+        sample_sd = samples.std(axis=1, ddof=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_star = sample_mean / (sample_sd / sqrt_n)
+        # A constant resample has sd 0: its statistic is 0 when the mean is
+        # also 0 and unboundedly extreme otherwise.
+        t_star = np.where(
+            sample_sd == 0.0,
+            np.where(sample_mean == 0.0, 0.0, np.inf),
+            t_star,
+        )
+        hits += int(np.count_nonzero(np.abs(t_star) >= abs(t_obs)))
+        remaining -= block
+    return float(t_obs), hits / b_samples
+
+
 # ---------------------------------------------------------------------------
 # ranking audits
 

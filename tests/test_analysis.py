@@ -5,6 +5,7 @@ the two audit reports on a small hand-checked fixture."""
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -21,8 +22,9 @@ from aspecteval import (
     select_best_runs,
     zero_aspect_at_k,
 )
-from aspecteval.analysis import _pair_rng
+from aspecteval.analysis import _BLOCK_ELEMENTS, _bootstrap_asl, _pair_rng
 from conftest import run_of
+from reference_impl import ref_bootstrap_asl
 
 
 def tau_b_oracle(x, y):
@@ -222,6 +224,23 @@ def test_dp_matches_naive_bootstrap_with_shared_draws(dp_matrix):
         assert pair.t == pytest.approx(t_ref, abs=1e-10)
         assert pair.asl == asl_ref
         assert pair.significant == (asl_ref < 0.05)
+
+
+def test_blocked_bootstrap_equals_the_unblocked_oracle():
+    for n in (2, 3, 7, 8, 9, 50, 100, 129, 300):
+        rng = np.random.default_rng(n)
+        four_decimals = np.round(rng.random(n), 4) - np.round(rng.random(n), 4)
+        tied = rng.choice([0.0] * 6 + [0.25, -0.25, 0.5, -0.5, 1.0], size=n)
+        tied[:2] = (0.5, 0.0)  # never constant
+        half = rng.choice([0.25, 0.5, 1.0], size=n // 2)
+        zero_mean = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+        assert zero_mean.mean() == 0.0
+        block = _BLOCK_ELEMENTS // n
+        for d in (four_decimals, tied, zero_mean):
+            for b in (1, block - 1, block, block + 1, 3 * block + 7, 10_000):
+                got = _bootstrap_asl(d, b, np.random.default_rng([n, b]))
+                want = ref_bootstrap_asl(d, b, np.random.default_rng([n, b]))
+                assert got == want, (n, b)
 
 
 def test_dp_t_statistic_is_the_paired_t(dp_matrix):

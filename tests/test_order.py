@@ -232,6 +232,8 @@ def test_invalid_tuples_are_rejected(schema, bad, error):
     ))
     with pytest.raises(error):
         check_extends_partial_order(order, schema)
+    with pytest.raises(error):
+        format_order_dump(order)
 
 
 def test_distinct_weights_count_down_from_top(schema):
