@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInput, MatrixMismatch
 from .measures import ScoreMatrix
-from .schema import AspectSchema, GroundTruth
+from .schema import GroundTruth
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
@@ -245,7 +245,6 @@ def zero_aspect_at_k(
     best: Mapping[str, str],
     runs,
     gt: GroundTruth,
-    schema: AspectSchema,
     k: int = 5,
 ) -> ZeroAspectReport:
     """Count worthless documents in the top-k of each topic's best run.
@@ -292,7 +291,6 @@ def quality_bands(
     best: Mapping[str, str],
     runs,
     gt: GroundTruth,
-    schema: AspectSchema,
     bands: Sequence[tuple[int, int]],
 ) -> QualityBandReport:
     """Mean grade-index sum of retrieved documents per rank band.

@@ -345,9 +345,9 @@ def cmd_analyze(args) -> int:
         k = _parse_int(st.get("analysis", "k", args.k, "5"), "k")
         bands = _parse_bands(st.get("analysis", "bands", args.bands, DEFAULT_BANDS))
         audit_meta = dict(meta, selected_by=best_by)
-        za = zero_aspect_at_k(best, runs, gt, schema, k)
+        za = zero_aspect_at_k(best, runs, gt, k)
         (out_dir / "zero_aspect.tsv").write_text(render_zero_aspect(za, audit_meta))
-        qb = quality_bands(best, runs, gt, schema, bands)
+        qb = quality_bands(best, runs, gt, bands)
         (out_dir / "quality_bands.tsv").write_text(render_quality_bands(qb, audit_meta))
     return 0
 

@@ -2,31 +2,29 @@
 
 Tuples are embedded as integer coordinate vectors (the schema's scaled embed
 values) and ranked by distance from the best tuple.  Each aspect gets one
-table of steps, the best grade's value minus each grade's value, so a key is
+column of steps, the best grade's value minus each grade's value, so a key is
 a sum over the tuple's grades (squared steps for Euclidean, plain steps for
-Manhattan) or their max (Chebyshev), in exact integers.  Ties form
+Manhattan) or their max (Chebyshev), in exact Python ints.  Ties form
 equivalence classes; class 0 is closest to the best tuple.
 
-The check that an order extends Pareto dominance takes a suffix maximum of
-class indices over the grade grid, so it is linear in the grid size; the
-test suite keeps the dense pairwise check as its oracle.
+An order is one key per class and a grid of class indices over the grade
+grid.  The check that it extends Pareto dominance takes a suffix maximum of
+that grid, so it is linear in the grid size; the test suite keeps the dense
+pairwise check as its oracle.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from enum import Enum
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MissingBestTuple, PolicyViolation
-from .schema import AspectSchema, LabelTuple, TupleSpace
-
-T = TypeVar("T")
-R = TypeVar("R")
+from .schema import AspectSchema, LabelTuple, TupleSpace, on_grid
 
 
 class Metric(Enum):
@@ -57,108 +55,86 @@ class DistanceClass:
     members: tuple[LabelTuple, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceOrder:
-    """Equivalence classes sorted by increasing distance from the best tuple."""
+    """Classes by increasing distance from the best tuple: one exact key per
+    class, and a read-only int64 ``grid`` of class indices, -1 off the order."""
 
     metric: Metric
     schema: AspectSchema
-    classes: tuple[DistanceClass, ...]
-    _index: dict[LabelTuple, int] = field(init=False, repr=False, compare=False)
+    keys: tuple[int, ...]
+    grid: np.ndarray
 
     def __post_init__(self):
-        index = {
-            t: i for i, cls in enumerate(self.classes) for t in cls.members
-        }
-        object.__setattr__(self, "_index", index)
+        grid = np.array(self.grid, dtype=np.int64)
+        self.schema.check_grid(grid.shape)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.keys)
+
+    @property
+    def classes(self) -> tuple[DistanceClass, ...]:
+        """Each class with its members in descending lexicographic order of
+        their grade indices, which makes dumps deterministic."""
+        cells = np.argwhere(self.grid >= 0)[::-1]
+        cls = self.grid[tuple(cells.T)]
+        members = list(zip(*cells[np.argsort(cls, kind="stable")].T.tolist()))
+        ends = np.cumsum(np.bincount(cls, minlength=self.n_classes)).tolist()
+        return tuple(
+            DistanceClass(key, tuple(members[start:end]))
+            for key, start, end in zip(self.keys, [0, *ends], ends)
+        )
 
     def class_of(self, t: LabelTuple) -> int:
         """Index of the class containing ``t`` (0 = closest to best)."""
-        try:
-            return self._index[t]
-        except KeyError:
-            raise KeyError(f"tuple {t!r} is not in this order") from None
-
-
-def _table_lookup(
-    tables: Sequence[Mapping[int, T]],
-    tuples: Iterable[LabelTuple],
-    schema: AspectSchema,
-    combine: Callable[[Iterable[T]], R] = sum,
-) -> Iterator[R]:
-    """Yield ``combine(tables[i][t[i]] for each aspect i)`` for every tuple ``t``.
-
-    The tables are keyed by grade index, so a grade outside an aspect's
-    range, negative ones included, misses instead of wrapping around; such a
-    tuple, or one of the wrong length, raises as ``schema.check_tuple`` does.
-    """
-    for t in tuples:
-        if len(t) != len(tables):
-            schema.check_tuple(t)
-        try:
-            value = combine(map(getitem, tables, t))
-        except KeyError:
-            schema.check_tuple(t)
-            raise
-        yield value
+        if on_grid(t, self.grid.shape) and (i := self.grid.item(t)) >= 0:
+            return i
+        raise KeyError(f"tuple {t!r} is not in this order")
 
 
 def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> DistanceOrder:
     """Group the space by distance from the best tuple and sort the groups.
 
-    Members within a class are stored in descending lexicographic order of
-    their grade indices, which makes dumps and comparisons deterministic.
+    The keys are a broadcast sum (max for Chebyshev) of per-aspect step
+    columns in one object array, so keys of any size stay exact ints.
     """
+    schema.check_grid(space.mask.shape)
     if schema.best_tuple not in space:
         raise MissingBestTuple("tuple space does not contain the best tuple")
     power = 2 if metric is Metric.EUCLIDEAN else 1
     steps = [
-        {g: (vals[-1] - v) ** power for g, v in enumerate(vals)}
+        np.array([(vals[-1] - v) ** power for v in vals], dtype=object)
         for vals in schema.scaled_values
     ]
-    combine = max if metric is Metric.CHEBYSHEV else sum
-    groups: dict[int, list[LabelTuple]] = {}
-    for key, t in zip(_table_lookup(steps, space, schema, combine), space):
-        groups.setdefault(key, []).append(t)
-    classes = tuple(
-        DistanceClass(key, tuple(sorted(groups[key], reverse=True)))
-        for key in sorted(groups)
-    )
-    return DistanceOrder(metric, schema, classes)
+    # np.ix_ lays each aspect's steps along its own axis
+    keys = functools.reduce(np.maximum if metric is Metric.CHEBYSHEV else np.add, np.ix_(*steps))
+    distinct, classes = np.unique(keys[space.mask], return_inverse=True)
+    grid = np.full(space.mask.shape, -1, dtype=np.int64)
+    grid[space.mask] = classes
+    return DistanceOrder(metric, schema, tuple(distinct.tolist()), grid)
 
 
 def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> bool:
     """True iff the order never ranks a dominated tuple above its dominator.
 
     Tuple b dominates a when b's embed value is at least a's on every
-    aspect; b must then sit in a class no later than a's.  The check writes
-    each tuple's class index into a grid over all grade combinations (-1
-    where the order has no tuple), takes a running maximum from the top
-    grade down along every axis, and reads each tuple's cell with every
-    grade lowered to the first grade of equal embed value, since equal
-    values dominate each other.  That cell holds the latest class among the
-    tuple's dominators.  Only grade and class indices enter numpy, so embed
-    values of any size stay exact.
+    aspect; b must then sit in a class no later than a's.  The check takes
+    a running maximum of the order's class grid from the top grade down
+    along every axis, and reads each tuple's cell with every grade lowered
+    to the first grade of equal embed value, since equal values dominate
+    each other.  That cell holds the latest class among the tuple's
+    dominators.  Only grade and class indices enter numpy, so embed values
+    of any size stay exact.
     """
-    dims = tuple(a.n_grades for a in schema.aspects)
-    offsets = [
-        {g: g * math.prod(dims[i + 1 :]) for g in range(n)} for i, n in enumerate(dims)
-    ]
-    # one entry per distinct tuple, with the class that class_of reports
-    index = order._index
-    at = np.fromiter(_table_lookup(offsets, index, schema), dtype=np.intp, count=len(index))
-    cls = np.fromiter(index.values(), dtype=np.int64, count=len(index))
-    grid = np.full(math.prod(dims), -1, dtype=np.int64)
-    grid[at] = cls
-    grid = grid.reshape(dims)
+    schema.check_grid(order.grid.shape)
+    grid = order.grid
     for axis, vals in enumerate(schema.scaled_values):
         grid = np.flip(np.maximum.accumulate(np.flip(grid, axis), axis=axis), axis)
         grid = grid.take([vals.index(v) for v in vals], axis=axis)
-    return bool((grid.reshape(-1)[at] <= cls).all())
+    return bool(((grid <= order.grid) | (order.grid < 0)).all())
 
 
 _DISTINCT = "distinct"
@@ -226,12 +202,10 @@ def format_order_dump(order: DistanceOrder) -> str:
         class 0 dist 0 : hr,c
         class 1 dist 1 : fr,c;hr,pc
     """
-    # what schema.format_tuple renders, without its per-tuple check_tuple
-    schema = order.schema
-    labels = [dict(enumerate(a.labels)) for a in schema.aspects]
+    labels = [a.labels for a in order.schema.aspects]
     lines = [
         f"class {i} dist {cls.key} : "
-        + ";".join(_table_lookup(labels, cls.members, schema, ",".join))
+        + ";".join(",".join(map(getitem, labels, t)) for t in cls.members)
         for i, cls in enumerate(order.classes)
     ]
     return "\n".join(lines) + "\n"

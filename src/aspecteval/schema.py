@@ -19,7 +19,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DimensionMismatch, MissingBestTuple, SchemaError
 
@@ -81,6 +84,16 @@ class AspectSchema:
             if a.name == name:
                 return i
         raise SchemaError(f"schema has no aspect named {name!r}")
+
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        """The shape of the grade grid: the number of grades of each aspect."""
+        return tuple(a.n_grades for a in self.aspects)
+
+    def check_grid(self, shape: tuple[int, ...]) -> None:
+        """Raise DimensionMismatch unless ``shape`` is :attr:`grid_shape`."""
+        if tuple(shape) != self.grid_shape:
+            raise DimensionMismatch(f"grid {tuple(shape)} is not the schema's {self.grid_shape}")
 
     @property
     def best_tuple(self) -> LabelTuple:
@@ -272,42 +285,57 @@ def pareto_dominates(a: LabelTuple, b: LabelTuple, schema: AspectSchema) -> bool
     return all(bb >= aa for aa, bb in zip(a, b))
 
 
-@dataclass(frozen=True)
-class TupleSpace:
-    """All feasible label tuples of a schema, in ascending lexicographic order."""
+def on_grid(t: LabelTuple, shape: tuple[int, ...]) -> bool:
+    """True iff ``t`` names a cell of ``shape``; a grade of -1 does not wrap."""
+    return len(t) == len(shape) and min(t) >= 0 and all(map(lt, t, shape))
 
-    tuples: tuple[LabelTuple, ...]
-    _members: frozenset[LabelTuple] = field(init=False, repr=False, compare=False)
+
+@dataclass(frozen=True, eq=False)
+class TupleSpace:
+    """The feasible label tuples of a schema: a read-only boolean ``mask``
+    over the grade grid, one axis per aspect."""
+
+    mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.tuples))
+        mask = np.array(self.mask, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def tuples(self) -> tuple[LabelTuple, ...]:
+        """The feasible tuples in ascending lexicographic order."""
+        return tuple(zip(*np.argwhere(self.mask).T.tolist()))
 
     def __contains__(self, t: LabelTuple) -> bool:
-        return t in self._members
+        return on_grid(t, self.mask.shape) and self.mask.item(t)
 
     def __iter__(self):
         return iter(self.tuples)
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return int(np.count_nonzero(self.mask))
 
 
 def build_tuple_space(schema: AspectSchema) -> TupleSpace:
-    """Cartesian product of grade indices, minus tuples breaking a coupling rule.
+    """The grade grid minus one slab per coupling rule: trigger axis at the
+    trigger label, forced axis off the forced label.
 
-    The best and the all-worst tuple must survive the rule filter; a rule set
+    The best and the all-worst tuple must survive the rules; a rule set
     that excludes either one leaves the order without its anchor points and
     is rejected.
     """
-    ranges = [range(a.n_grades) for a in schema.aspects]
-    feasible = tuple(
-        t for t in itertools.product(*ranges) if satisfies_rules(t, schema)
-    )
-    if schema.best_tuple not in feasible:
+    mask = np.ones(schema.grid_shape, dtype=bool)
+    for r in schema.rules:
+        slab = [slice(None)] * schema.n_aspects
+        slab[r.trigger_aspect] = r.trigger_label
+        slab[r.forced_aspect] = np.arange(mask.shape[r.forced_aspect]) != r.forced_label
+        mask[tuple(slab)] = False
+    if not mask[schema.best_tuple]:
         raise MissingBestTuple("coupling rules exclude the best tuple")
-    if schema.worst_tuple not in feasible:
+    if not mask[schema.worst_tuple]:
         raise SchemaError("coupling rules exclude the all-worst tuple")
-    return TupleSpace(feasible)
+    return TupleSpace(mask)
 
 
 @dataclass

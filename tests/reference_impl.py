@@ -8,6 +8,7 @@ tool's output contract and is rebuilt here from that description.
 """
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -82,6 +83,41 @@ def ref_correlation(table_a, table_b):
     mean = sum(per_topic.values()) / len(per_topic) if per_topic else None
     equivalent = mean is not None and mean > 0.9
     return per_topic, excluded, mean, equivalent
+
+
+# ---------------------------------------------------------------------------
+# tuple spaces and distance orders as tuple lists
+
+
+def ref_tuple_space(schema):
+    """Cartesian product of grade indices, minus tuples breaking a coupling
+    rule, in ascending lexicographic order."""
+    ranges = [range(a.n_grades) for a in schema.aspects]
+    return tuple(
+        t for t in itertools.product(*ranges)
+        if all(
+            t[r.trigger_aspect] != r.trigger_label or t[r.forced_aspect] == r.forced_label
+            for r in schema.rules
+        )
+    )
+
+
+def ref_build_order(tuples, schema, metric):
+    """[(key, members)] per class by increasing distance from the best
+    tuple: one grade -> step table per aspect (squared for Euclidean), keys
+    summed (maxed for Chebyshev) in Python ints, members in descending
+    lexicographic order."""
+    power = 2 if metric.value == "euclidean" else 1
+    steps = [
+        {g: (vals[-1] - v) ** power for g, v in enumerate(vals)}
+        for vals in schema.scaled_values
+    ]
+    combine = max if metric.value == "chebyshev" else sum
+    groups = {}
+    for t in tuples:
+        key = combine(step[g] for step, g in zip(steps, t))
+        groups.setdefault(key, []).append(t)
+    return [(key, tuple(sorted(groups[key], reverse=True))) for key in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -344,9 +344,9 @@ def audit_fixture(schema):
     return best, runs, gt
 
 
-def test_zero_aspect_counts_unjudged_as_worthless(schema, audit_fixture):
+def test_zero_aspect_counts_unjudged_as_worthless(audit_fixture):
     best, runs, gt = audit_fixture
-    report = zero_aspect_at_k(best, runs, gt, schema, k=3)
+    report = zero_aspect_at_k(best, runs, gt, k=3)
     by_rank = {row.rank: row for row in report.rows}
     # rank 1: sysA/d2 (sum 4) fine, sysB/e1 graded all-worst -> 1 of 2
     assert (by_rank["1"].count, by_rank["1"].slots) == (1, 2)
@@ -361,17 +361,17 @@ def test_zero_aspect_counts_unjudged_as_worthless(schema, audit_fixture):
     assert report.total.percent == pytest.approx(60.0)
 
 
-def test_zero_aspect_validation(schema, audit_fixture):
+def test_zero_aspect_validation(audit_fixture):
     best, runs, gt = audit_fixture
     with pytest.raises(ConfigError, match="at least 1"):
-        zero_aspect_at_k(best, runs, gt, schema, k=0)
+        zero_aspect_at_k(best, runs, gt, k=0)
     with pytest.raises(ConfigError, match="not among"):
-        zero_aspect_at_k({"1": "ghost"}, runs, gt, schema, k=2)
+        zero_aspect_at_k({"1": "ghost"}, runs, gt, k=2)
 
 
-def test_quality_bands_means_and_empty_band(schema, audit_fixture):
+def test_quality_bands_means_and_empty_band(audit_fixture):
     best, runs, gt = audit_fixture
-    report = quality_bands(best, runs, gt, schema, [(1, 1), (2, 3), (4, 5)])
+    report = quality_bands(best, runs, gt, [(1, 1), (2, 3), (4, 5)])
     first, middle, tail = report.rows
     # rank 1: d2 sums to 4, e1 to 0
     assert (first.band, first.n_docs, first.mean_sum) == ((1, 1), 2, 2.0)
@@ -381,13 +381,13 @@ def test_quality_bands_means_and_empty_band(schema, audit_fixture):
     assert (tail.band, tail.n_docs, tail.mean_sum) == ((4, 5), 0, None)
 
 
-def test_quality_bands_validation(schema, audit_fixture):
+def test_quality_bands_validation(audit_fixture):
     best, runs, gt = audit_fixture
     with pytest.raises(ConfigError, match="bad rank band"):
-        quality_bands(best, runs, gt, schema, [(0, 5)])
+        quality_bands(best, runs, gt, [(0, 5)])
     with pytest.raises(ConfigError, match="bad rank band"):
-        quality_bands(best, runs, gt, schema, [(5, 2)])
+        quality_bands(best, runs, gt, [(5, 2)])
     with pytest.raises(ConfigError, match="disjoint"):
-        quality_bands(best, runs, gt, schema, [(1, 5), (5, 10)])
+        quality_bands(best, runs, gt, [(1, 5), (5, 10)])
     with pytest.raises(ConfigError, match="disjoint"):
-        quality_bands(best, runs, gt, schema, [(10, 20), (1, 5)])
+        quality_bands(best, runs, gt, [(10, 20), (1, 5)])

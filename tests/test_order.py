@@ -1,27 +1,35 @@
 """Distance-order construction, including the nine golden class chains of
 the reference embeddings (three correctness embeddings x three metrics)."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from aspecteval import (
+    ConfigError,
     DimensionMismatch,
-    DistanceClass,
     DistanceOrder,
+    GroundTruth,
+    MeasureConfig,
     Metric,
     MissingBestTuple,
     PolicyViolation,
+    RankedList,
     SchemaError,
     TupleSpace,
+    apply_rules,
     assign_weights,
     build_order,
     build_tuple_space,
     check_extends_partial_order,
     format_order_dump,
+    ground_truth_from,
+    order_score,
     parse_schema,
 )
-from reference_impl import ref_extends_dominance
+from reference_impl import ref_build_order, ref_extends_dominance, ref_tuple_space
 
 SCHEMA_TEMPLATE = """\
 aspect relevance
@@ -100,10 +108,11 @@ def test_distance_keys_are_exact_integers(schema):
         assert order.classes[order.class_of((2, 1))].key == key
 
 
+BIG_SCHEMA = "aspect a\nlabel x 0\nlabel y 1e30\naspect b\nlabel p 0\nlabel q 1\nlabel r 2\n"
+
+
 def test_embed_values_beyond_int64_stay_exact():
-    s = parse_schema(
-        "aspect a\nlabel x 0\nlabel y 1e30\naspect b\nlabel p 0\nlabel q 1\nlabel r 2\n"
-    )
+    s = parse_schema(BIG_SCHEMA)
     big = 10**30
     expected = {
         Metric.EUCLIDEAN: [0, 1, 4, big**2, big**2 + 1, big**2 + 4],
@@ -136,7 +145,9 @@ def test_translation_leaves_the_partition_unchanged():
 
 
 def test_missing_best_tuple_is_an_error(schema):
-    space = TupleSpace(((0, 0), (1, 1)))
+    mask = np.zeros(schema.grid_shape, dtype=bool)
+    mask[0, 0] = mask[1, 1] = True
+    space = TupleSpace(mask)
     with pytest.raises(MissingBestTuple):
         build_order(space, schema, Metric.EUCLIDEAN)
 
@@ -168,16 +179,18 @@ def random_grid_schema(rng, with_rules):
 
 
 def with_classes_swapped(order, i):
-    classes = list(order.classes)
-    classes[i], classes[i + 1] = classes[i + 1], classes[i]
-    return DistanceOrder(order.metric, order.schema, tuple(classes))
+    keys = list(order.keys)
+    keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    grid = order.grid.copy()
+    grid[order.grid == i] = i + 1
+    grid[order.grid == i + 1] = i
+    return DistanceOrder(order.metric, order.schema, tuple(keys), grid)
 
 
 def with_tuple_moved(order, t, to):
-    return DistanceOrder(order.metric, order.schema, tuple(
-        DistanceClass(cls.key, tuple(m for m in cls.members if m != t) + ((t,) if i == to else ()))
-        for i, cls in enumerate(order.classes)
-    ))
+    grid = order.grid.copy()
+    grid[t] = to
+    return DistanceOrder(order.metric, order.schema, order.keys, grid)
 
 
 def test_order_extends_pareto_on_random_schemas():
@@ -225,15 +238,70 @@ def test_check_detects_a_violating_order(schema):
      ((-1, 0), SchemaError), ((4, 0), SchemaError), ((0, 3), SchemaError)],
 )
 def test_invalid_tuples_are_rejected(schema, bad, error):
+    # (-1, 0) would wrap to the feasible (3, 0) without the range checks
+    space = build_tuple_space(schema)
+    order = build_order(space, schema, Metric.EUCLIDEAN)
+    assert bad not in space
+    with pytest.raises(KeyError):
+        order.class_of(bad)
     with pytest.raises(error):
-        build_order(TupleSpace(((3, 2), bad)), schema, Metric.EUCLIDEAN)
-    order = DistanceOrder(Metric.EUCLIDEAN, schema, (
-        DistanceClass(0, ((3, 2),)), DistanceClass(1, (bad,)),
-    ))
-    with pytest.raises(error):
-        check_extends_partial_order(order, schema)
-    with pytest.raises(error):
-        format_order_dump(order)
+        ground_truth_from([("1", "d1", bad)], schema)
+    gt = GroundTruth({("1", "d1"): bad})
+    with pytest.raises(ConfigError, match="without a weight"):
+        order_score(
+            RankedList("1", ("d1",)), gt, assign_weights(order, "distinct"), MeasureConfig("ndcg")
+        )
+
+
+def test_grids_of_another_shape_are_rejected(schema):
+    order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
+    other = parse_schema(BIG_SCHEMA)  # 2 x 3 grades against 4 x 3
+    with pytest.raises(DimensionMismatch):
+        build_order(TupleSpace(np.ones((4, 3, 2), dtype=bool)), schema, Metric.EUCLIDEAN)
+    with pytest.raises(DimensionMismatch):
+        build_order(build_tuple_space(other), schema, Metric.EUCLIDEAN)
+    with pytest.raises(DimensionMismatch):
+        DistanceOrder(order.metric, schema, order.keys, order.grid[:3])
+    with pytest.raises(DimensionMismatch):
+        check_extends_partial_order(order, other)
+
+
+def oracle_schemas():
+    """80 seeded random grid schemas (the odd ones with coupling rules), the
+    reference schema and the 1e30 schema."""
+    rng = random.Random(271828)
+    schemas = [random_grid_schema(rng, with_rules=n % 2 == 1) for n in range(80)]
+    return schemas + [make_schema(["0", "1.5", "3"]), parse_schema(BIG_SCHEMA)]
+
+
+def test_grid_orders_equal_the_tuple_list_oracle():
+    for schema in oracle_schemas():
+        space = build_tuple_space(schema)
+        feasible = ref_tuple_space(schema)
+        assert space.tuples == feasible
+        assert len(space) == len(feasible)
+        for metric in Metric:
+            order = build_order(space, schema, metric)
+            expected = ref_build_order(feasible, schema, metric)
+            assert [(c.key, c.members) for c in order.classes] == expected
+            assert all(type(key) is int for key in order.keys)
+            assert format_order_dump(order) == "".join(
+                f"class {i} dist {key} : "
+                + ";".join(schema.format_tuple(t) for t in members) + "\n"
+                for i, (key, members) in enumerate(expected)
+            )
+
+
+def test_apply_rules_lands_in_the_space():
+    for schema in oracle_schemas()[1:80:2]:  # the schemas with rules
+        space = build_tuple_space(schema)
+        for t in itertools.product(*(range(n) for n in schema.grid_shape)):
+            try:
+                fixed, corrections = apply_rules(t, schema)
+            except SchemaError:
+                continue
+            assert fixed in space
+            assert (corrections == 0) == (t in space)
 
 
 def test_distinct_weights_count_down_from_top(schema):
