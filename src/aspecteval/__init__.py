@@ -40,7 +40,6 @@ from .errors import (
     WeightError,
 )
 from .ingest import (
-    RunEntry,
     RunFile,
     discretize_quantile,
     discretize_threshold,
@@ -106,9 +105,8 @@ __all__ = [
     "average_precision", "cam_score", "dcg", "estimate_upper_bound",
     "generate_ideal_rankings", "mm_score", "ndcg", "score_runs", "order_score",
     # ingest
-    "RunEntry", "RunFile", "discretize_quantile", "discretize_threshold",
-    "join_aspect_qrels", "parse_qrels", "parse_run", "parse_signals",
-    "serialize_run",
+    "RunFile", "discretize_quantile", "discretize_threshold", "join_aspect_qrels",
+    "parse_qrels", "parse_run", "parse_signals", "serialize_run",
     # analysis
     "CorrelationReport", "DPReport", "PairTest", "QualityBandReport",
     "ZeroAspectReport", "discriminative_power", "kendall_tau",

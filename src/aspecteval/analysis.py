@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateInput, MatrixMismatch
-from .measures import ScoreMatrix
+from .measures import ScoreMatrix, left_sum
 from .schema import GroundTruth
 
 
@@ -78,7 +78,7 @@ def measure_correlation(m1: ScoreMatrix, m2: ScoreMatrix) -> CorrelationReport:
             per_topic[topic] = kendall_tau(x, y)
         except DegenerateInput:
             excluded += 1
-    mean_tau = sum(per_topic.values()) / len(per_topic) if per_topic else None
+    mean_tau = left_sum(per_topic.values()) / len(per_topic) if per_topic else None
     equivalent = mean_tau is not None and mean_tau > EQUIVALENCE_THRESHOLD
     return CorrelationReport(m1.measure, m2.measure, per_topic, excluded, mean_tau, equivalent)
 
@@ -238,7 +238,7 @@ def _best_rankings(best: Mapping[str, str], runs) -> Iterator[tuple[str, tuple[s
             rf = by_tag[best[topic]]
         except KeyError:
             raise ConfigError(f"best run {best[topic]!r} not among the loaded runs") from None
-        yield topic, rf.ranking(topic).doc_ids
+        yield topic, rf.topics.get(topic, ())
 
 
 def zero_aspect_at_k(

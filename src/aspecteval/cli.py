@@ -219,7 +219,7 @@ def _load_runs(paths: list[str], honor_rank: bool) -> tuple[list[RunFile], list[
             runs.append(parse_run(text, honor_rank=honor_rank))
         else:
             warnings.append(f"run file {f} is empty; scoring run {f.stem!r} as 0")
-            runs.append(RunFile(f.stem, {}))
+            runs.append(RunFile(f.stem, {}, {}))
     if not runs:
         raise ConfigError("no run files given")
     return runs, warnings

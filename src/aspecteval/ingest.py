@@ -15,33 +15,38 @@ from .errors import (
     ParseError,
     UnknownLabel,
 )
-from .measures import RankedList
+from .measures import RankedList, check_distinct
 from .schema import AspectSchema, GroundTruth, LabelTuple, apply_rules
 
 MergeMaps = Mapping[str, Mapping[str, str]]
 
 
 @dataclass(frozen=True)
-class RunEntry:
-    doc_id: str
-    rank: int
-    score: float
-
-
-@dataclass(frozen=True)
 class RunFile:
-    """One system's retrieved lists: run_tag plus ordered entries per topic."""
+    """One system's retrieved lists: per topic, the doc ids in ranked order
+    and, aligned with them, their scores."""
 
     run_tag: str
-    topics: dict[str, tuple[RunEntry, ...]]
+    topics: dict[str, tuple[str, ...]]
+    scores: dict[str, tuple[float, ...]]
+
+    def __post_init__(self):
+        if self.scores.keys() != self.topics.keys():
+            raise ValueError(f"run {self.run_tag!r}: scores and doc ids cover different topics")
+        for topic, docs in self.topics.items():
+            check_distinct(topic, docs)
+            if len(self.scores[topic]) != len(docs):
+                raise ValueError(
+                    f"run {self.run_tag!r}: {len(self.scores[topic])} scores for "
+                    f"{len(docs)} docs in topic {topic!r}"
+                )
 
     def topic_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.topics))
 
     def ranking(self, topic_id: str) -> RankedList:
         """Ranked doc ids for a topic; empty if the run skipped the topic."""
-        entries = self.topics.get(topic_id, ())
-        return RankedList(topic_id, tuple(e.doc_id for e in entries))
+        return RankedList(topic_id, self.topics.get(topic_id, ()))
 
 
 def _iter_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -58,7 +63,8 @@ def parse_run(text: str, honor_rank: bool = False) -> RunFile:
     shuffled file parses to the same run.  Pass ``honor_rank=True`` to order
     by the rank column instead.
     """
-    rows: dict[str, list[RunEntry]] = {}
+    # (sort key, doc, score) rows: docs are unique, so scores never tie-break
+    rows: dict[str, list[tuple[float, str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     run_tag: str | None = None
     for lineno, line in _iter_lines(text):
@@ -85,22 +91,22 @@ def parse_run(text: str, honor_rank: bool = False) -> RunFile:
         if (topic, doc) in seen:
             raise DuplicateDoc(f"doc {doc!r} repeated for topic {topic!r}", lineno)
         seen.add((topic, doc))
-        rows.setdefault(topic, []).append(RunEntry(doc, rank, score))
+        rows.setdefault(topic, []).append((rank if honor_rank else -score, doc, score))
     if run_tag is None:
         raise ParseError("run file contains no entries")
-    key = (
-        (lambda e: (e.rank, e.doc_id)) if honor_rank else (lambda e: (-e.score, e.doc_id))
-    )
-    topics = {t: tuple(sorted(es, key=key)) for t, es in sorted(rows.items())}
-    return RunFile(run_tag, topics)
+    topics, scores = {}, {}
+    for t, rs in sorted(rows.items()):
+        rs.sort()
+        _, topics[t], scores[t] = zip(*rs)
+    return RunFile(run_tag, topics, scores)
 
 
 def serialize_run(run: RunFile) -> str:
     """Canonical text form: topics ascending, ranks renumbered from 1."""
     lines = []
     for topic in run.topic_ids():
-        for position, e in enumerate(run.topics[topic], start=1):
-            lines.append(f"{topic} Q0 {e.doc_id} {position} {e.score!r} {run.run_tag}")
+        for position, (doc, score) in enumerate(zip(run.topics[topic], run.scores[topic]), 1):
+            lines.append(f"{topic} Q0 {doc} {position} {score!r} {run.run_tag}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,24 @@ _SCORE_SLACK = 1e-9
 _EXHAUSTIVE_LIMIT = 8
 
 
+def check_distinct(topic_id: str, doc_ids: Sequence[str]) -> None:
+    """Raise DuplicateDoc if a doc appears twice in one topic's ranking."""
+    if len(set(doc_ids)) != len(doc_ids):
+        seen = set()
+        dup = next(d for d in doc_ids if d in seen or seen.add(d))
+        raise DuplicateDoc(f"doc {dup!r} appears twice in ranking for topic {topic_id!r}")
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum from left to right.  The built-in ``sum`` compensates its
+    rounding from Python 3.12 on, which would move printed scores with the
+    interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class RankedList:
     """One system ranking for one topic, best first."""
@@ -39,12 +57,7 @@ class RankedList:
     doc_ids: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.doc_ids)) != len(self.doc_ids):
-            seen = set()
-            dup = next(d for d in self.doc_ids if d in seen or seen.add(d))
-            raise DuplicateDoc(
-                f"doc {dup!r} appears twice in ranking for topic {self.topic_id!r}"
-            )
+        check_distinct(self.topic_id, self.doc_ids)
 
     def truncated(self, depth: int | None) -> tuple[str, ...]:
         return self.doc_ids if depth is None else self.doc_ids[:depth]
@@ -77,9 +90,13 @@ class MeasureConfig:
 
 
 def dcg(gains: Sequence[float], log_base: float = 2.0) -> float:
-    """Discounted cumulative gain; every rank is discounted, including rank 1."""
+    """Discounted cumulative gain; every rank is discounted, including rank 1.
+    The terms are added from left to right, as in ``left_sum``."""
     log_b = math.log(log_base)
-    return sum(g / (math.log(i + 1) / log_b) for i, g in enumerate(gains, start=1))
+    total = 0.0
+    for i, g in enumerate(gains, start=1):
+        total += g / (math.log(i + 1) / log_b)
+    return total
 
 
 def ndcg(
@@ -256,15 +273,15 @@ def _resolve_importance(
 
 
 def _cam(p: Sequence[float], mu: Sequence[float]) -> float:
-    return sum(pi * mi for pi, mi in zip(p, mu))
+    return left_sum(pi * mi for pi, mi in zip(p, mu))
 
 
 def _mm(p: Sequence[float], mu: Sequence[float], variant: str) -> float:
     if any(m == 0.0 for m in mu):
         return 0.0
     if variant == CANONICAL:
-        return sum(p) / sum(pi / mi for pi, mi in zip(p, mu))
-    return 1.0 / sum(1.0 / m for m in mu)
+        return left_sum(p) / left_sum(pi / mi for pi, mi in zip(p, mu))
+    return 1.0 / left_sum(1.0 / m for m in mu)
 
 
 def cam_score(
@@ -405,10 +422,10 @@ class ScoreMatrix:
         )
 
     def mean(self, run_tag: str) -> float:
-        # Python's left-to-right sum, not numpy's pairwise one: the printed
-        # means must not move.
+        # Left to right, not numpy's pairwise sum: the printed means must not
+        # move.
         row = self.values[self.run_tags.index(run_tag)].tolist()
-        return sum(row) / len(row)
+        return left_sum(row) / len(row)
 
     def topic_scores(self, topic_id: str) -> list[float]:
         """Scores of all runs on one topic, in run_tag order."""
@@ -467,7 +484,7 @@ def score_runs(
             columns += _aspect_columns(judged, tables)
             ideals = [_ideal(column, cfg) for column in columns]
             for i, tag in enumerate(tags):
-                docs = by_tag[tag].ranking(topic).truncated(depth)
+                docs = by_tag[tag].topics.get(topic, ())[:depth]
                 scores = [_cell(docs, c, ideal, cfg) for c, ideal in zip(columns, ideals)]
                 mu = scores[len(metrics) :]
                 values[:, i, j] = [*scores[: len(metrics)], _cam(p, mu), _mm(p, mu, mm_variant)]

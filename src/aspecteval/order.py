@@ -68,6 +68,8 @@ class DistanceOrder:
     def __post_init__(self):
         grid = np.array(self.grid, dtype=np.int64)
         self.schema.check_grid(grid.shape)
+        if grid.min() < -1 or grid.max() >= self.n_classes:
+            raise ValueError(f"class indices must lie in [-1, {self.n_classes}), the keys' range")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
 

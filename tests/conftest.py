@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from aspecteval import RankedList, RunEntry, RunFile, ground_truth_from, parse_schema
+from aspecteval import RankedList, RunFile, ground_truth_from, parse_schema
 
 REFERENCE_SCHEMA = """\
 # relevance embedded on 0..3, correctness on 0..3 with uneven steps
@@ -55,13 +55,12 @@ def ranking(docs, topic="1"):
 
 def run_of(tag, per_topic):
     """RunFile with the given doc order per topic (scores descending)."""
-    topics = {
-        topic: tuple(
-            RunEntry(doc, i + 1, float(len(docs) - i)) for i, doc in enumerate(docs)
-        )
+    topics = {topic: tuple(docs) for topic, docs in per_topic.items()}
+    scores = {
+        topic: tuple(float(len(docs) - i) for i in range(len(docs)))
         for topic, docs in per_topic.items()
     }
-    return RunFile(tag, topics)
+    return RunFile(tag, topics, scores)
 
 
 def run_tag_for(perm):

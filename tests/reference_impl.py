@@ -38,6 +38,19 @@ def read_score_table(text):
 
 
 # ---------------------------------------------------------------------------
+# float sums
+
+
+def ref_sum(values):
+    """Float sum from left to right, as the built-in ``sum`` adds up to
+    Python 3.11; from 3.12 on it compensates its rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+# ---------------------------------------------------------------------------
 # rank correlation
 
 
@@ -80,7 +93,7 @@ def ref_correlation(table_a, table_b):
             excluded += 1
         else:
             per_topic[topic] = tau
-    mean = sum(per_topic.values()) / len(per_topic) if per_topic else None
+    mean = ref_sum(per_topic.values()) / len(per_topic) if per_topic else None
     equivalent = mean is not None and mean > 0.9
     return per_topic, excluded, mean, equivalent
 

@@ -11,6 +11,7 @@ from aspecteval import (
     DuplicateDoc,
     MixedRunTag,
     ParseError,
+    RunFile,
     SchemaError,
     UnknownLabel,
     discretize_quantile,
@@ -19,7 +20,9 @@ from aspecteval import (
     parse_qrels,
     parse_run,
     parse_signals,
+    score_runs,
     serialize_run,
+    zero_aspect_at_k,
 )
 
 RUN_TEXT = """\
@@ -99,6 +102,33 @@ def test_serialize_run_round_trips_and_renumbers():
     # rank column is position in canonical order, not the input rank
     assert "2 Q0 docA 1 7.5 alpha" in text.splitlines()
     assert serialize_run(parse_run(text)) == text
+
+
+def test_run_file_rejects_a_repeated_doc(schema, gt):
+    topics, scores = {"1": ("d1", "d2", "d1")}, {"1": (3.0, 2.0, 1.0)}
+    with pytest.raises(DuplicateDoc, match="'d1' appears twice in ranking for topic '1'"):
+        RunFile("sys", topics, scores)
+    # nothing downstream can score or audit such a run
+    with pytest.raises(DuplicateDoc):
+        score_runs([RunFile("sys", topics, scores)], gt, schema)
+    with pytest.raises(DuplicateDoc):
+        zero_aspect_at_k({"1": "sys"}, [RunFile("sys", topics, scores)], gt)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        {},
+        {"1": (2.0, 1.0)},
+        {"1": (2.0, 1.0), "2": (), "3": ()},
+        {"1": (2.0, 1.0), "2": (1.0,)},
+        {"1": (2.0,), "2": ()},
+    ],
+)
+def test_run_file_scores_align_with_the_doc_ids(scores):
+    with pytest.raises(ValueError, match="run 'sys'"):
+        RunFile("sys", {"1": ("d1", "d2"), "2": ()}, scores)
+    RunFile("sys", {"1": ("d1", "d2"), "2": ()}, {"1": (2.0, 1.0), "2": ()})
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from conftest import (
     run_of,
     run_tag_for,
 )
+from reference_impl import ref_sum
 
 # ---------------------------------------------------------------------------
 # primitives
@@ -54,6 +55,15 @@ def test_dcg_discounts_every_rank():
     assert dcg([3.0]) == pytest.approx(3.0)  # log2(2) = 1
     assert dcg([3.0, 2.0]) == pytest.approx(3.0 + 2.0 / math.log2(3))
     assert dcg([]) == 0.0
+
+
+def test_dcg_sums_left_to_right():
+    # each tail term is below half an ulp of 1.0 but their sum is not, so a
+    # compensated sum rounds up where a left-to-right one does not
+    gains = [1.0, 1.5e-16, 2e-16]
+    terms = [g / (math.log(i + 1) / math.log(2.0)) for i, g in enumerate(gains, start=1)]
+    assert math.fsum(terms) != ref_sum(terms)
+    assert dcg(gains) == ref_sum(terms)
 
 
 def test_dcg_log_base_cancels_in_ndcg():
@@ -400,10 +410,14 @@ def test_score_matrix_build_and_means():
 def test_score_matrix_mean_sums_left_to_right():
     rng = random.Random(5)
     cells = {(r, f"t{j:03d}"): rng.random() for r in "abcd" for j in range(200)}
+    # a row whose compensated sum differs: 1.0, then 199 terms of 1e-16
+    cells.update({("e", f"t{j:03d}"): 1e-16 if j else 1.0 for j in range(200)})
     m = ScoreMatrix.build("X", cells)
     for r in m.run_tags:
         row = [cells[(r, t)] for t in m.topic_ids]
-        assert m.mean(r) == sum(row) / len(row)
+        assert m.mean(r) == ref_sum(row) / len(row)
+    e = [cells[("e", t)] for t in m.topic_ids]
+    assert m.mean("e") == 1.0 / 200 != math.fsum(e) / len(e)
 
 
 def test_score_runs_rejects_duplicate_tags(schema, gt):

@@ -266,6 +266,15 @@ def test_grids_of_another_shape_are_rejected(schema):
         check_extends_partial_order(order, other)
 
 
+def test_class_indices_outside_the_keys_are_rejected(schema):
+    order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
+    t = schema.best_tuple
+    for bad in (order.n_classes, -2):
+        with pytest.raises(ValueError, match="class indices"):
+            with_tuple_moved(order, t, bad)
+    assert with_tuple_moved(order, t, order.n_classes - 1).class_of(t) == order.n_classes - 1
+
+
 def oracle_schemas():
     """80 seeded random grid schemas (the odd ones with coupling rules), the
     reference schema and the 1e30 schema."""
