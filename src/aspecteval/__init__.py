@@ -17,6 +17,7 @@ from .analysis import (
     QualityBandReport,
     ZeroAspectReport,
     discriminative_power,
+    discriminative_powers,
     kendall_tau,
     measure_correlation,
     quality_bands,
@@ -109,7 +110,8 @@ __all__ = [
     "parse_qrels", "parse_run", "parse_signals", "serialize_run",
     # analysis
     "CorrelationReport", "DPReport", "PairTest", "QualityBandReport",
-    "ZeroAspectReport", "discriminative_power", "kendall_tau",
+    "ZeroAspectReport", "discriminative_power", "discriminative_powers",
+    "kendall_tau",
     "measure_correlation", "quality_bands", "select_best_runs",
     "zero_aspect_at_k",
     # errors

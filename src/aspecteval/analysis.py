@@ -129,51 +129,59 @@ def _pair_rng(seed: int, run_a: str, run_b: str) -> np.random.Generator:
 _BLOCK_ELEMENTS = 16 * 1024
 
 
-def _bootstrap_asl(d: np.ndarray, b_samples: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Observed studentized mean and its achieved significance level.
+def _bootstrap_asls(
+    ds: Sequence[np.ndarray], b_samples: int, rng: np.random.Generator
+) -> list[tuple[float, float]]:
+    """Observed studentized mean and its achieved significance level, for
+    each of one run pair's difference vectors (one per score table).
 
     Resamples the centered differences with replacement and counts how often
     the resampled statistic is at least as extreme as the observed one.
-    Each resample's mean and standard deviation are computed with the
-    operations ``np.mean`` and ``np.std(ddof=1)`` use, in the same order, so
-    the statistic is the same to the last bit.
+    Every vector is resampled with the same index draws, which are drawn
+    once per block and gathered once per vector, so a vector's result does
+    not depend on the others.  Each resample's mean and standard deviation
+    are computed with the operations ``np.mean`` and ``np.std(ddof=1)`` use,
+    in the same order, so the statistic is the same to the last bit.
     """
-    n = len(d)
-    mean = d.mean()
-    sd = d.std(ddof=1)
+    n = len(ds[0])
     sqrt_n = math.sqrt(n)
-    t_obs = mean / (sd / sqrt_n)
-    w = d - mean
-    hits = 0
+    t_obs, centered = [], []
+    for d in ds:
+        mean = d.mean()
+        t_obs.append(mean / (d.std(ddof=1) / sqrt_n))
+        centered.append(d - mean)
+    hits = [0] * len(ds)
     rows = max(1, _BLOCK_ELEMENTS // n)
     buffer = np.empty((min(rows, b_samples), n))
     for start in range(0, b_samples, rows):
         block = min(rows, b_samples - start)
+        indices = rng.integers(0, n, size=(block, n))
         samples = buffer[:block]
-        # Indices lie in [0, n), so "clip" never clips; unlike "raise" it
-        # writes into the buffer without an intermediate copy.
-        np.take(w, rng.integers(0, n, size=(block, n)), out=samples, mode="clip")
-        sample_mean = samples.sum(axis=1) / n
-        samples -= sample_mean[:, None]
-        np.square(samples, out=samples)
-        sample_sd = np.sqrt(samples.sum(axis=1) / (n - 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_star = sample_mean / (sample_sd / sqrt_n)
-        # A constant resample has sd 0: its statistic is 0 when the mean is
-        # also 0 and unboundedly extreme otherwise.
-        t_star = np.where(
-            sample_sd == 0.0,
-            np.where(sample_mean == 0.0, 0.0, np.inf),
-            t_star,
-        )
-        hits += int(np.count_nonzero(np.abs(t_star) >= abs(t_obs)))
-    return float(t_obs), hits / b_samples
+        for k, w in enumerate(centered):
+            # Indices lie in [0, n), so "clip" never clips; unlike "raise" it
+            # writes into the buffer without an intermediate copy.
+            np.take(w, indices, out=samples, mode="clip")
+            sample_mean = samples.sum(axis=1) / n
+            samples -= sample_mean[:, None]
+            np.square(samples, out=samples)
+            sample_sd = np.sqrt(samples.sum(axis=1) / (n - 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_star = sample_mean / (sample_sd / sqrt_n)
+            # A constant resample has sd 0: its statistic is 0 when the mean
+            # is also 0 and unboundedly extreme otherwise.
+            t_star = np.where(
+                sample_sd == 0.0,
+                np.where(sample_mean == 0.0, 0.0, np.inf),
+                t_star,
+            )
+            hits[k] += int(np.count_nonzero(np.abs(t_star) >= abs(t_obs[k])))
+    return [(float(t), h / b_samples) for t, h in zip(t_obs, hits)]
 
 
-def discriminative_power(
-    m: ScoreMatrix, b_samples: int, alpha: float, seed: int
-) -> DPReport:
-    """Paired-bootstrap test over every unordered run pair.
+def discriminative_powers(
+    matrices: Sequence[ScoreMatrix], b_samples: int, alpha: float, seed: int
+) -> tuple[DPReport, ...]:
+    """Paired-bootstrap test over every unordered run pair, per score table.
 
     For each pair the per-topic score differences give an observed
     studentized mean; the ASL is the fraction of seeded bootstrap resamples
@@ -181,7 +189,20 @@ def discriminative_power(
     discriminated when ASL < alpha.  Pairs whose differences have zero
     spread skip the bootstrap: they are significant iff the mean difference
     is nonzero.
+
+    The tables must share their runs and topics.  A pair's resamples depend
+    only on the seed, the two run tags and the topic count, so each pair's
+    index blocks are drawn once and shared by every table; a table's report
+    is the same as when it is tested alone.
     """
+    if not matrices:
+        raise ConfigError("discriminative power needs at least one score table")
+    m = matrices[0]
+    for other in matrices[1:]:
+        if other.run_tags != m.run_tags or other.topic_ids != m.topic_ids:
+            raise MatrixMismatch(
+                f"matrices {m.measure!r} and {other.measure!r} cover different runs or topics"
+            )
     if len(m.run_tags) < 2:
         raise ConfigError("discriminative power needs at least two runs")
     if len(m.topic_ids) < 2:
@@ -192,20 +213,37 @@ def discriminative_power(
         raise ConfigError("alpha must lie strictly between 0 and 1")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
-    pairs = []
+    pairs: list[list[PairTest]] = [[] for _ in matrices]
     for a, b in itertools.combinations(range(len(m.run_tags)), 2):
         run_a, run_b = m.run_tags[a], m.run_tags[b]
-        d = m.values[a] - m.values[b]
-        if d.std(ddof=1) == 0.0:
-            mean = d.mean()
-            t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
-            significant = mean != 0.0
-            asl = 0.0 if significant else 1.0
-        else:
-            t_obs, asl = _bootstrap_asl(d, b_samples, _pair_rng(seed, run_a, run_b))
-            significant = asl < alpha
-        pairs.append(PairTest(run_a, run_b, t_obs, asl, significant))
-    return DPReport(m.measure, b_samples, alpha, seed, tuple(pairs))
+        ds = [table.values[a] - table.values[b] for table in matrices]
+        spread = [k for k, d in enumerate(ds) if d.std(ddof=1) != 0.0]
+        tested = {}
+        if spread:
+            rng = _pair_rng(seed, run_a, run_b)
+            tested = dict(zip(spread, _bootstrap_asls([ds[k] for k in spread], b_samples, rng)))
+        for k, d in enumerate(ds):
+            if k in tested:
+                t_obs, asl = tested[k]
+                significant = asl < alpha
+            else:
+                mean = d.mean()
+                t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
+                significant = mean != 0.0
+                asl = 0.0 if significant else 1.0
+            pairs[k].append(PairTest(run_a, run_b, t_obs, asl, significant))
+    return tuple(
+        DPReport(table.measure, b_samples, alpha, seed, tuple(p))
+        for table, p in zip(matrices, pairs)
+    )
+
+
+def discriminative_power(
+    m: ScoreMatrix, b_samples: int, alpha: float, seed: int
+) -> DPReport:
+    """The paired-bootstrap test of one score table; see
+    ``discriminative_powers``."""
+    return discriminative_powers([m], b_samples, alpha, seed)[0]
 
 
 def select_best_runs(m: ScoreMatrix) -> dict[str, str]:

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    discriminative_power,
+    discriminative_powers,
     measure_correlation,
     quality_bands,
     select_best_runs,
@@ -325,9 +325,8 @@ def cmd_analyze(args) -> int:
             name = f"correlation_{labels[i]}_vs_{labels[j]}.tsv"
             (out_dir / name).write_text(render_correlation(report, meta))
 
-    for m in matrices:
-        report = discriminative_power(m, b_samples, alpha, seed)
-        (out_dir / f"dp_{m.measure}.tsv").write_text(render_dp(report, meta))
+    for report in discriminative_powers(matrices, b_samples, alpha, seed):
+        (out_dir / f"dp_{report.measure}.tsv").write_text(render_dp(report, meta))
 
     if all(audit_inputs):
         schema_path, qrels, run_paths = audit_inputs

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -27,19 +28,23 @@ class RunFile:
     and, aligned with them, their scores."""
 
     run_tag: str
-    topics: dict[str, tuple[str, ...]]
-    scores: dict[str, tuple[float, ...]]
+    topics: Mapping[str, tuple[str, ...]]
+    scores: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self):
-        if self.scores.keys() != self.topics.keys():
+        topics, scores = dict(self.topics), dict(self.scores)
+        if scores.keys() != topics.keys():
             raise ValueError(f"run {self.run_tag!r}: scores and doc ids cover different topics")
-        for topic, docs in self.topics.items():
+        for topic, docs in topics.items():
             check_distinct(topic, docs)
-            if len(self.scores[topic]) != len(docs):
+            if len(scores[topic]) != len(docs):
                 raise ValueError(
-                    f"run {self.run_tag!r}: {len(self.scores[topic])} scores for "
+                    f"run {self.run_tag!r}: {len(scores[topic])} scores for "
                     f"{len(docs)} docs in topic {topic!r}"
                 )
+        # Read-only views of private copies: a checked run cannot change.
+        object.__setattr__(self, "topics", MappingProxyType(topics))
+        object.__setattr__(self, "scores", MappingProxyType(scores))
 
     def topic_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.topics))

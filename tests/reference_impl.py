@@ -238,6 +238,26 @@ def ref_bootstrap_asl(d, b_samples, rng):
     return float(t_obs), hits / b_samples
 
 
+def ref_discriminative_power(m, b_samples, alpha, seed):
+    """The per-table loop as first written, over a matrix's ``values`` rows
+    and ``run_tags``: one (run_a, run_b, t, asl, significant) row per pair,
+    each bootstrapped pair drawing its own index stream."""
+    rows = []
+    for a, b in itertools.combinations(range(len(m.run_tags)), 2):
+        run_a, run_b = m.run_tags[a], m.run_tags[b]
+        d = m.values[a] - m.values[b]
+        if d.std(ddof=1) == 0.0:
+            mean = d.mean()
+            t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
+            significant = mean != 0.0
+            asl = 0.0 if significant else 1.0
+        else:
+            t_obs, asl = ref_bootstrap_asl(d, b_samples, ref_pair_rng(seed, run_a, run_b))
+            significant = asl < alpha
+        rows.append((run_a, run_b, t_obs, asl, significant))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # ranking audits
 

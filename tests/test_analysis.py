@@ -15,6 +15,7 @@ from aspecteval import (
     MatrixMismatch,
     ScoreMatrix,
     discriminative_power,
+    discriminative_powers,
     kendall_tau,
     measure_correlation,
     parse_qrels,
@@ -22,9 +23,9 @@ from aspecteval import (
     select_best_runs,
     zero_aspect_at_k,
 )
-from aspecteval.analysis import _BLOCK_ELEMENTS, _bootstrap_asl, _pair_rng
+from aspecteval.analysis import _BLOCK_ELEMENTS, _bootstrap_asls, _pair_rng
 from conftest import run_of
-from reference_impl import ref_bootstrap_asl
+from reference_impl import ref_bootstrap_asl, ref_discriminative_power
 
 
 def tau_b_oracle(x, y):
@@ -238,9 +239,86 @@ def test_blocked_bootstrap_equals_the_unblocked_oracle():
         block = _BLOCK_ELEMENTS // n
         for d in (four_decimals, tied, zero_mean):
             for b in (1, block - 1, block, block + 1, 3 * block + 7, 10_000):
-                got = _bootstrap_asl(d, b, np.random.default_rng([n, b]))
+                got = _bootstrap_asls([d], b, np.random.default_rng([n, b]))[0]
                 want = ref_bootstrap_asl(d, b, np.random.default_rng([n, b]))
                 assert got == want, (n, b)
+
+
+def dp_tables(n, count=10):
+    """``count`` tables over runs r1..r5 and n topics with 4-decimal scores.
+
+    r1 and r4 are equal in every table (zero spread everywhere, no draw);
+    r2 sits a constant 0.25 above r1 in table 0 only, and r3 equals r1 in
+    table 1 only (zero spread in one table).  Odd tables draw from a few
+    tied values.
+    """
+    rng = np.random.default_rng(n)
+    tables = []
+    for k in range(count):
+        if k % 2:
+            values = rng.choice([0.0, 0.25, 0.3333, 0.5, 0.7917, 1.0], size=(5, n))
+        else:
+            values = np.round(rng.random((5, n)), 4)
+        if k == 0:
+            values[0] = rng.choice([0.0, 0.25, 0.5, 0.75], size=n)
+            values[1] = values[0] + 0.25
+        if k == 1:
+            values[2] = values[0]
+        values[3] = values[0]
+        cells = {
+            (f"r{i + 1}", f"t{j:03d}"): float(values[i, j])
+            for i in range(5)
+            for j in range(n)
+        }
+        tables.append(matrix(f"M{k}", cells))
+    return tables
+
+
+def test_pair_major_dp_equals_the_per_table_oracle(monkeypatch):
+    drawn = []
+
+    def recording_rng(seed, run_a, run_b):
+        drawn.append((run_a, run_b))
+        return _pair_rng(seed, run_a, run_b)
+
+    monkeypatch.setattr("aspecteval.analysis._pair_rng", recording_rng)
+    seed, alpha = 5, 0.05
+    for n in (2, 3, 100, 129):
+        tables = dp_tables(n)
+        block = _BLOCK_ELEMENTS // n
+        for b in (1, block - 1, block + 1, 1000):
+            want = [ref_discriminative_power(m, b, alpha, seed) for m in tables]
+            for size in (1, 2, 3, 10):
+                drawn.clear()
+                reports = discriminative_powers(tables[:size], b, alpha, seed)
+                assert [r.measure for r in reports] == [m.measure for m in tables[:size]]
+                for report, rows in zip(reports, want):
+                    got = [(p.run_a, p.run_b, p.t, p.asl, p.significant) for p in report.pairs]
+                    assert got == rows, (n, b, size, report.measure)
+                    assert (report.b_samples, report.alpha, report.seed) == (b, alpha, seed)
+                assert ("r1", "r4") not in drawn
+                assert len(drawn) == len(set(drawn))
+    # the hand-built pairs of the last group: a constant shift is significant
+    # with t = -inf (r1 below r2), and equal runs are never discriminated
+    pairs = {(p.run_a, p.run_b): p for p in reports[0].pairs}
+    assert pairs[("r1", "r2")].t == -math.inf and pairs[("r1", "r2")].asl == 0.0
+    assert (pairs[("r1", "r4")].t, pairs[("r1", "r4")].asl) == (0.0, 1.0)
+    pairs = {(p.run_a, p.run_b): p for p in reports[1].pairs}
+    assert (pairs[("r1", "r3")].t, pairs[("r1", "r3")].asl) == (0.0, 1.0)
+
+
+def test_pair_major_dp_rejects_tables_that_do_not_align(dp_matrix):
+    with pytest.raises(ConfigError, match="at least one score table"):
+        discriminative_powers([], 10, 0.05, 0)
+    other_runs = matrix("Y", {("runA", "1"): 0.1, ("runZ", "1"): 0.2,
+                              ("runA", "2"): 0.3, ("runZ", "2"): 0.4})
+    with pytest.raises(MatrixMismatch, match="different runs or topics"):
+        discriminative_powers([dp_matrix, other_runs], 10, 0.05, 0)
+    fewer_topics = matrix("Y", {
+        (r, t): dp_matrix.score(r, t) for r in dp_matrix.run_tags for t in dp_matrix.topic_ids[1:]
+    })
+    with pytest.raises(MatrixMismatch, match="different runs or topics"):
+        discriminative_powers([dp_matrix, fewer_topics], 10, 0.05, 0)
 
 
 def test_dp_t_statistic_is_the_paired_t(dp_matrix):

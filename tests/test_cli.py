@@ -3,6 +3,7 @@ temp directory, exit codes, config-file precedence, and byte-identical
 reruns."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +344,40 @@ def test_analyze_rejects_misaligned_score_tables(env, capsys):
     )
     assert code == 2
     assert "different runs or topics" in capsys.readouterr().err
+
+
+def test_analyze_tables_do_not_leak_into_each_other(tmp_path):
+    """Three 16-run x 100-topic tables analyzed together write the same
+    dp_<label>.tsv as three one-table calls: the tables share each pair's
+    resamples, never the values gathered from them."""
+    rng = random.Random(8)
+    runs = [f"run{i:02d}" for i in range(16)]
+    topics = [str(t) for t in range(1, 101)]
+    paths = []
+    for label in ("EUCL-ndcg", "CAM-ap", "MM-ndcg"):
+        cells = {}
+        for run in runs:
+            for topic in topics:
+                # run00 is an empty run; run01 skips every tenth topic
+                empty = run == "run00" or (run == "run01" and int(topic) % 10 == 0)
+                cells[(run, topic)] = 0.0 if empty else round(rng.random(), 4)
+        if label == "CAM-ap":  # zero spread in this table only
+            cells.update({("run03", t): cells[("run02", t)] for t in topics})
+        path = tmp_path / f"scores_{label}.tsv"
+        path.write_text(render_scores(ScoreMatrix.build(label, cells), {"config": "x"}))
+        paths.append(str(path))
+
+    def dp_files(out, scores):
+        args = ["analyze", "--scores", *scores, "--seed", "1", "--bootstrap", "300"]
+        assert main([*args, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.glob("dp_*.tsv")}
+
+    together = dp_files(tmp_path / "together", paths)
+    alone = {}
+    for i, path in enumerate(paths):
+        alone.update(dp_files(tmp_path / f"alone{i}", [path]))
+    assert len(together) == 3
+    assert together == alone
 
 
 def test_analyze_audit_inputs_come_as_a_trio(env, capsys):

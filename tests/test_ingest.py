@@ -131,6 +131,22 @@ def test_run_file_scores_align_with_the_doc_ids(scores):
     RunFile("sys", {"1": ("d1", "d2"), "2": ()}, {"1": (2.0, 1.0), "2": ()})
 
 
+def test_run_file_cannot_change_after_its_checks():
+    run = parse_run(RUN_TEXT)
+    with pytest.raises(TypeError):
+        run.topics["1"] = ("docC", "docC")
+    with pytest.raises(TypeError):
+        run.scores["1"] = (1.0,)
+    assert run.topics["1"] == ("docC", "docB", "docA")
+    # the run holds its own copies of the mappings it was built from
+    topics, scores = {"1": ("d1", "d2")}, {"1": (2.0, 1.0)}
+    built = RunFile("sys", topics, scores)
+    topics["1"], scores["1"] = ("d1", "d1"), (1.0,)
+    topics["2"] = scores["2"] = ()
+    assert dict(built.topics) == {"1": ("d1", "d2")}
+    assert dict(built.scores) == {"1": (2.0, 1.0)}
+
+
 # ---------------------------------------------------------------------------
 # qrels
 
