@@ -315,19 +315,12 @@ def cmd_analyze(args) -> int:
     seed = _parse_int(_require(st.get("analysis", "seed", args.seed), "seed"), "seed")
     b_samples = _parse_int(st.get("analysis", "bootstrap", args.bootstrap, "10000"), "bootstrap count")
     alpha = _parse_float(st.get("analysis", "alpha", args.alpha, "0.01"), "alpha")
-    out_dir = Path(st.get("output", "dir", args.out, ".", record=False))
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"config": st.hash()}
 
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            report = measure_correlation(matrices[i], matrices[j])
-            name = f"correlation_{labels[i]}_vs_{labels[j]}.tsv"
-            (out_dir / name).write_text(render_correlation(report, meta))
-
-    for report in discriminative_powers(matrices, b_samples, alpha, seed):
-        (out_dir / f"dp_{report.measure}.tsv").write_text(render_dp(report, meta))
-
+    # Every input is parsed and every audit run before the bootstrap, and
+    # nothing is written until all reports are in: a bad option fails fast
+    # and leaves no partial outputs.
+    audits = {}
     if all(audit_inputs):
         schema_path, qrels, run_paths = audit_inputs
         schema = parse_schema(_read(schema_path))
@@ -345,9 +338,24 @@ def cmd_analyze(args) -> int:
         bands = _parse_bands(st.get("analysis", "bands", args.bands, DEFAULT_BANDS))
         audit_meta = dict(meta, selected_by=best_by)
         za = zero_aspect_at_k(best, runs, gt, k)
-        (out_dir / "zero_aspect.tsv").write_text(render_zero_aspect(za, audit_meta))
+        audits["zero_aspect.tsv"] = render_zero_aspect(za, audit_meta)
         qb = quality_bands(best, runs, gt, bands)
-        (out_dir / "quality_bands.tsv").write_text(render_quality_bands(qb, audit_meta))
+        audits["quality_bands.tsv"] = render_quality_bands(qb, audit_meta)
+
+    outputs = {}
+    for i in range(len(matrices)):
+        for j in range(i + 1, len(matrices)):
+            report = measure_correlation(matrices[i], matrices[j])
+            name = f"correlation_{labels[i]}_vs_{labels[j]}.tsv"
+            outputs[name] = render_correlation(report, meta)
+    for report in discriminative_powers(matrices, b_samples, alpha, seed):
+        outputs[f"dp_{report.measure}.tsv"] = render_dp(report, meta)
+    outputs.update(audits)
+
+    out_dir = Path(st.get("output", "dir", args.out, ".", record=False))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text)
     return 0
 
 

@@ -193,6 +193,29 @@ def _weight_column(
         raise ConfigError(f"judged tuple without a weight: {exc}") from None
 
 
+def _weight_columns(
+    judged: Mapping[str, LabelTuple], weights: Sequence[WeightAssignment]
+) -> list[dict[str, float]]:
+    """``_weight_column`` for each assignment, from one gather of the judged
+    tuples' cells in each order's class grid."""
+    if not weights:
+        return []
+    try:
+        tuples = np.array(list(judged.values()), dtype=np.int64)
+        cells = np.ravel_multi_index(tuples.T, weights[0].order.grid.shape)
+    except (ValueError, OverflowError, TypeError):
+        cells = None  # some tuple is off the grid
+    columns = []
+    for w in weights:
+        classes = None if cells is None else w.order.grid.reshape(-1)[cells]
+        if classes is None or (classes < 0).any():
+            # the per-tuple path fails on the first tuple off the order
+            columns.append(_weight_column(judged, w))
+            continue
+        columns.append(dict(zip(judged, [float(w.per_class[c]) for c in classes.tolist()])))
+    return columns
+
+
 def order_score(
     run: RankedList,
     gt: GroundTruth,
@@ -480,7 +503,7 @@ def score_runs(
         for j, topic in enumerate(topics):
             judged = gt.judged(topic)
             # the metric columns first, then one column per aspect
-            columns = [_weight_column(judged, w) for w in weights]
+            columns = _weight_columns(judged, weights)
             columns += _aspect_columns(judged, tables)
             ideals = [_ideal(column, cfg) for column in columns]
             for i, tag in enumerate(tags):

@@ -2,8 +2,10 @@
 bootstrap against a straight-line reimplementation sharing its RNG draws, and
 the two audit reports on a small hand-checked fixture."""
 
+import concurrent.futures
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from aspecteval import (
     select_best_runs,
     zero_aspect_at_k,
 )
+from aspecteval import analysis
 from aspecteval.analysis import _BLOCK_ELEMENTS, _bootstrap_asls, _pair_rng
 from conftest import run_of
 from reference_impl import ref_bootstrap_asl, ref_discriminative_power
@@ -319,6 +322,89 @@ def test_pair_major_dp_rejects_tables_that_do_not_align(dp_matrix):
     })
     with pytest.raises(MatrixMismatch, match="different runs or topics"):
         discriminative_powers([dp_matrix, fewer_topics], 10, 0.05, 0)
+
+
+# (usable CPUs, pool threshold): two forced-on and two forced-off settings
+POOL_MODES = {
+    "pool-4": (4, 0),
+    "pool-2": (2, 0),
+    "one-cpu": (1, 0),
+    "below-threshold": (4, 1 << 62),
+}
+
+
+@pytest.fixture(params=sorted(POOL_MODES))
+def pool_mode(request, monkeypatch):
+    """Force the fork pool on or off; yields (usable CPUs, pooled, the
+    (workers, start method) of every pool opened)."""
+    cpus, threshold = POOL_MODES[request.param]
+    opened = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            opened.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "_POOL_MIN_DRAWS", threshold)
+    pooled = sys.platform == "linux" and cpus > 1 and threshold == 0
+    return cpus, pooled, opened
+
+
+def assert_equals_the_oracle(reports, tables, b, alpha, seed):
+    assert [r.measure for r in reports] == [m.measure for m in tables]
+    for report, table in zip(reports, tables):
+        got = [(p.run_a, p.run_b, p.t, p.asl, p.significant) for p in report.pairs]
+        assert got == ref_discriminative_power(table, b, alpha, seed), report.measure
+        assert (report.b_samples, report.alpha, report.seed) == (b, alpha, seed)
+
+
+def test_pooled_dp_equals_the_per_table_oracle(pool_mode):
+    cpus, pooled, opened = pool_mode
+    seed, alpha = 9, 0.05
+    for n in (3, 129):
+        tables = dp_tables(n)
+        for b in (1, _BLOCK_ELEMENTS // n + 1, 1000):
+            for size in (1, 2, 3, 10):
+                opened.clear()
+                reports = discriminative_powers(tables[:size], b, alpha, seed)
+                assert_equals_the_oracle(reports, tables[:size], b, alpha, seed)
+                # ten pairs, four chunks per worker: one worker per CPU
+                assert opened == ([(cpus, "fork")] if pooled else [])
+
+
+def test_pooled_dp_with_fewer_pairs_than_workers(pool_mode, dp_matrix):
+    cpus, pooled, opened = pool_mode
+    reports = discriminative_powers([dp_matrix], 300, 0.05, 4)
+    assert_equals_the_oracle(reports, [dp_matrix], 300, 0.05, 4)
+    # three pairs: at most one worker per pair
+    assert opened == ([(min(3, cpus), "fork")] if pooled else [])
+    opened.clear()
+    one_pair = grid("X", {"1": [0.1, 0.2], "2": [0.4, 0.2], "3": [0.3, 0.35]})
+    reports = discriminative_powers([one_pair], 300, 0.05, 4)
+    assert_equals_the_oracle(reports, [one_pair], 300, 0.05, 4)
+    assert opened == []  # a single pair never pools
+
+
+def test_pooled_dp_keeps_zero_spread_pairs(pool_mode):
+    tables = dp_tables(40, count=3)
+    reports = discriminative_powers(tables, 200, 0.05, 2)
+    assert_equals_the_oracle(reports, tables, 200, 0.05, 2)
+    pairs = {(p.run_a, p.run_b): p for p in reports[0].pairs}
+    assert pairs[("r1", "r2")].t == -math.inf and pairs[("r1", "r2")].asl == 0.0
+    assert (pairs[("r1", "r4")].t, pairs[("r1", "r4")].asl) == (0.0, 1.0)
+    pairs = {(p.run_a, p.run_b): p for p in reports[1].pairs}
+    assert (pairs[("r1", "r3")].t, pairs[("r1", "r3")].asl) == (0.0, 1.0)
+
+
+def test_chunks_are_contiguous_and_cover_every_item():
+    items = list(range(10))
+    for count in (1, 3, 4, 10, 40):
+        chunks = analysis._chunks(items, count)
+        assert len(chunks) == min(count, len(items))
+        assert [x for c in chunks for x in c] == items
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
 
 def test_dp_t_statistic_is_the_paired_t(dp_matrix):

@@ -102,6 +102,19 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_the_process_pool():
+    """The fork pool's modules load only when a bootstrap is large enough
+    to use it, so they cost no command its start-up time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aspecteval.__file__).resolve().parents[1]))
+    code = (
+        "import aspecteval.cli, sys; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_order_dump_to_stdout(env, capsys):
     assert main(["order", "--schema", str(env / "schema.txt"), "--metric", "chebyshev"]) == 0
     out = capsys.readouterr().out
@@ -378,6 +391,60 @@ def test_analyze_tables_do_not_leak_into_each_other(tmp_path):
         alone.update(dp_files(tmp_path / f"alone{i}", [path]))
     assert len(together) == 3
     assert together == alone
+
+
+def test_analyze_checks_every_option_before_the_bootstrap(env, capsys, monkeypatch):
+    assert evaluate(env) == 0
+
+    def no_bootstrap(*args):
+        raise AssertionError("the bootstrap ran before the options were checked")
+
+    monkeypatch.setattr("aspecteval.cli.discriminative_powers", no_bootstrap)
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs")]
+    bad = [
+        (["--best-by", "NOPE"], "best-by measure 'NOPE'"),
+        (["--bands", "1-2,x"], "bad band"),
+        (["--bands", "3-5,1-2"], "disjoint and ascending"),
+        (["--k", "0"], "k must be at least 1"),
+        (["--k", "x"], "k must be an integer"),
+    ]
+    for i, (extra, message) in enumerate(bad):
+        out = env / f"reports{i}"
+        assert analyze(env, out, *audit, *extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # not even the directory
+
+
+def dp_score_tables(tmp_path, runs=6, topics=30):
+    """Paths of two score tables over ``runs`` runs; run r1 equals r0 in the
+    first table (a zero-spread pair)."""
+    rng = random.Random(31)
+    tags = [f"r{i}" for i in range(runs)]
+    paths = []
+    for label in ("EUCL-ndcg", "MM-ap"):
+        cells = {(r, str(t)): round(rng.random(), 4) for r in tags for t in range(topics)}
+        if label == "EUCL-ndcg":
+            cells.update({("r1", str(t)): cells[("r0", str(t))] for t in range(topics)})
+        path = tmp_path / f"scores_{label}.tsv"
+        path.write_text(render_scores(ScoreMatrix.build(label, cells), {"config": "x"}))
+        paths.append(str(path))
+    return paths
+
+
+def test_analyze_dp_files_do_not_depend_on_the_process_pool(tmp_path, monkeypatch):
+    import aspecteval.analysis as analysis
+
+    scores = dp_score_tables(tmp_path)
+    args = ["analyze", "--scores", *scores, "--seed", "3", "--bootstrap", "500"]
+    outputs = {}
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
+    for name, threshold in (("pooled", 0), ("in-process", 1 << 62)):
+        monkeypatch.setattr(analysis, "_POOL_MIN_DRAWS", threshold)
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).glob("dp_*.tsv")}
+    assert sorted(outputs["pooled"]) == ["dp_EUCL-ndcg.tsv", "dp_MM-ap.tsv"]
+    assert outputs["pooled"] == outputs["in-process"]
 
 
 def test_analyze_audit_inputs_come_as_a_trio(env, capsys):

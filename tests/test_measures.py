@@ -18,6 +18,7 @@ from aspecteval import (
     Metric,
     RankedList,
     ScoreMatrix,
+    GroundTruth,
     WeightError,
     aspect_scores,
     assign_weights,
@@ -479,3 +480,15 @@ def test_score_runs_equals_the_scalar_scorers_on_every_cell():
                 mm = mm_score(rl, gt, schema, cfg, importance, variant)
                 assert matrices[f"CAM-{kind}"].score(tag, topic) == clamp(cam)
                 assert matrices[f"MM-{kind}"].score(tag, topic) == clamp(mm)
+
+
+@pytest.mark.parametrize("bad", [(3,), (3, 2, 0), (-1, 0), (4, 0), (2**70, 0), (0, 1)])
+def test_score_runs_rejects_a_judged_tuple_off_the_order_as_the_scalar_scorer_does(schema, bad):
+    # (0, 1) lies on the grade grid but breaks the coupling rule
+    gt = GroundTruth({("1", "d1"): (3, 1), ("1", "d2"): bad, ("1", "d3"): (0, 0)})
+    weights = assign_weights(build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN), "distinct")
+    with pytest.raises(ConfigError, match="without a weight") as scalar:
+        order_score(ranking(["d1"]), gt, weights, MeasureConfig("ndcg"))
+    with pytest.raises(ConfigError) as batch:
+        score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",))
+    assert str(batch.value) == str(scalar.value)
