@@ -189,52 +189,41 @@ _CHUNKS_PER_WORKER = 4
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _chunks(items: Sequence, count: int) -> list[Sequence]:
-    """``items`` in at most ``count`` contiguous slices of near-equal size."""
-    count = min(count, len(items))
-    return [items[i * len(items) // count : (i + 1) * len(items) // count] for i in range(count)]
+    """The CPUs this process may run on (Linux only)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _pair_tests(
-    chunk: Sequence[tuple[int, int]],
+    pair: tuple[int, int],
     values: Sequence[np.ndarray],
     run_tags: Sequence[str],
     b_samples: int,
     alpha: float,
     seed: int,
-) -> list[list[PairTest]]:
-    """For each run pair (a, b) of ``chunk``, given as row indices, one
-    PairTest per table of ``values``.  The result depends only on the pair,
-    never on the chunk it is in or the process it runs in."""
-    rows = []
-    for a, b in chunk:
-        run_a, run_b = run_tags[a], run_tags[b]
-        ds = [v[a] - v[b] for v in values]
-        spread = [k for k, d in enumerate(ds) if d.std(ddof=1) != 0.0]
-        tested = {}
-        if spread:
-            rng = _pair_rng(seed, run_a, run_b)
-            tested = dict(zip(spread, _bootstrap_asls([ds[k] for k in spread], b_samples, rng)))
-        row = []
-        for k, d in enumerate(ds):
-            if k in tested:
-                t_obs, asl = tested[k]
-                significant = asl < alpha
-            else:
-                mean = d.mean()
-                t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
-                significant = mean != 0.0
-                asl = 0.0 if significant else 1.0
-            row.append(PairTest(run_a, run_b, t_obs, asl, significant))
-        rows.append(row)
-    return rows
+) -> list[PairTest]:
+    """One PairTest per table of ``values`` for the run pair (a, b), given as
+    row indices.  The result depends only on the pair, never on the process
+    it runs in."""
+    a, b = pair
+    run_a, run_b = run_tags[a], run_tags[b]
+    ds = [v[a] - v[b] for v in values]
+    spread = [k for k, d in enumerate(ds) if d.std(ddof=1) != 0.0]
+    tested = {}
+    if spread:
+        rng = _pair_rng(seed, run_a, run_b)
+        tested = dict(zip(spread, _bootstrap_asls([ds[k] for k in spread], b_samples, rng)))
+    row = []
+    for k, d in enumerate(ds):
+        if k in tested:
+            t_obs, asl = tested[k]
+            significant = asl < alpha
+        else:
+            mean = d.mean()
+            t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
+            significant = mean != 0.0
+            asl = 0.0 if significant else 1.0
+        row.append(PairTest(run_a, run_b, t_obs, asl, significant))
+    return row
 
 
 def discriminative_powers(
@@ -287,11 +276,9 @@ def discriminative_powers(
         alpha=alpha,
         seed=seed,
     )
-    workers = _usable_cpus()
-    chunks = _chunks(pairs, workers * _CHUNKS_PER_WORKER)
+    workers = _usable_cpus() if sys.platform == "linux" else 1
     if (
-        sys.platform == "linux"
-        and workers > 1
+        workers > 1
         and len(pairs) > 1
         and len(pairs) * b_samples * len(m.topic_ids) >= _POOL_MIN_DRAWS
     ):
@@ -301,15 +288,15 @@ def discriminative_powers(
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=context) as pool:
-            rows = list(pool.map(task, chunks))
+        chunksize = math.ceil(len(pairs) / (workers * _CHUNKS_PER_WORKER))
+        with ProcessPoolExecutor(min(workers, len(pairs)), mp_context=context) as pool:
+            rows = list(pool.map(task, pairs, chunksize=chunksize))
     else:
-        rows = list(map(task, chunks))
-    # rows[c][p][k]: chunk c, its pair p, table k
-    per_table = zip(*itertools.chain.from_iterable(rows))
+        rows = list(map(task, pairs))
+    # rows[p][k]: pair p, table k
     return tuple(
         DPReport(table.measure, b_samples, alpha, seed, tuple(p))
-        for table, p in zip(matrices, per_table)
+        for table, p in zip(matrices, zip(*rows))
     )
 
 

@@ -143,33 +143,33 @@ def _parse_bands(value: str) -> list[tuple[int, int]]:
     return bands
 
 
-def _merge_maps(st: Settings, schema) -> dict[str, dict[str, str]]:
-    maps = {}
+def _aspect_sections(st: Settings, schema, prefix: str) -> dict[str, dict[str, str]]:
+    """The non-empty ``[<prefix>.<aspect>]`` sections, by aspect in schema order."""
+    sections = {}
     for aspect in schema.names:
-        table = st.section(f"merge.{aspect}")
+        table = st.section(f"{prefix}.{aspect}")
         if table:
-            maps[aspect] = table
-    return maps
+            sections[aspect] = table
+    return sections
 
 
 def _aspect_gains(st: Settings, schema):
-    gains = {}
-    for aspect in schema.names:
-        table = st.section(f"gains.{aspect}")
-        if table:
-            gains[aspect] = {
-                label: _parse_float(v, f"gain for {aspect}/{label}")
-                for label, v in table.items()
-            }
+    gains = {
+        aspect: {
+            label: _parse_float(v, f"gain for {aspect}/{label}")
+            for label, v in table.items()
+        }
+        for aspect, table in _aspect_sections(st, schema, "gains").items()
+    }
     return gains or None
 
 
 def _aspect_relevant(st: Settings, schema):
-    relevant = {}
-    for aspect in schema.names:
-        table = st.section(f"relevant.{aspect}")
-        if table and "labels" in table:
-            relevant[aspect] = table["labels"].split()
+    relevant = {
+        aspect: table["labels"].split()
+        for aspect, table in _aspect_sections(st, schema, "relevant").items()
+        if "labels" in table
+    }
     return relevant or None
 
 
@@ -186,7 +186,7 @@ def _load_ground_truth(st: Settings, qrels_args, schema):
     qrels = qrels_args or str(
         _require(st.get("files", "qrels"), "qrels path")
     ).split()
-    merge = _merge_maps(st, schema) or None
+    merge = _aspect_sections(st, schema, "merge") or None
     if any("=" in q for q in qrels):
         per_aspect = {}
         for q in qrels:
@@ -336,7 +336,9 @@ def cmd_analyze(args) -> int:
         best = select_best_runs(chosen)
         k = _parse_int(st.get("analysis", "k", args.k, "5"), "k")
         bands = _parse_bands(st.get("analysis", "bands", args.bands, DEFAULT_BANDS))
-        audit_meta = dict(meta, selected_by=best_by)
+        # Hashed after the audit settings and [merge.*] are read: unlike the
+        # correlation and DP reports, the audits depend on them.
+        audit_meta = {"config": st.hash(), "selected_by": best_by}
         za = zero_aspect_at_k(best, runs, gt, k)
         audits["zero_aspect.tsv"] = render_zero_aspect(za, audit_meta)
         qb = quality_bands(best, runs, gt, bands)
@@ -441,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--best-by", dest="best_by", help="measure label that selects each topic's best run"
     )
-    p_an.add_argument("--honor-rank", action="store_true", help=argparse.SUPPRESS)
+    p_an.add_argument(
+        "--honor-rank", action="store_true", help="audit runs in their rank-column order"
+    )
     p_an.set_defaults(func=cmd_analyze)
 
     p_disc = sub.add_parser("discretize", help="grade a raw signal table")

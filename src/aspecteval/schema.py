@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -338,15 +339,18 @@ def build_tuple_space(schema: AspectSchema) -> TupleSpace:
     return TupleSpace(mask)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
     """Judged label tuples keyed by (topic_id, doc_id)."""
 
-    entries: dict[tuple[str, str], LabelTuple]
+    entries: Mapping[tuple[str, str], LabelTuple]
     _by_topic: dict[str, dict[str, LabelTuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_topic = {}
+        # A read-only view of a private copy: get() and the index below
+        # always see the same judgments.
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "_by_topic", {})
         for (t, d), lt in self.entries.items():
             self._by_topic.setdefault(t, {})[d] = lt
 

@@ -247,8 +247,9 @@ def test_blocked_bootstrap_equals_the_unblocked_oracle():
                 assert got == want, (n, b)
 
 
-def dp_tables(n, count=10):
-    """``count`` tables over runs r1..r5 and n topics with 4-decimal scores.
+def dp_tables(n, count=10, runs=5):
+    """``count`` tables over runs r1..r<runs> (at least five) and n topics
+    with 4-decimal scores.
 
     r1 and r4 are equal in every table (zero spread everywhere, no draw);
     r2 sits a constant 0.25 above r1 in table 0 only, and r3 equals r1 in
@@ -259,9 +260,9 @@ def dp_tables(n, count=10):
     tables = []
     for k in range(count):
         if k % 2:
-            values = rng.choice([0.0, 0.25, 0.3333, 0.5, 0.7917, 1.0], size=(5, n))
+            values = rng.choice([0.0, 0.25, 0.3333, 0.5, 0.7917, 1.0], size=(runs, n))
         else:
-            values = np.round(rng.random((5, n)), 4)
+            values = np.round(rng.random((runs, n)), 4)
         if k == 0:
             values[0] = rng.choice([0.0, 0.25, 0.5, 0.75], size=n)
             values[1] = values[0] + 0.25
@@ -270,7 +271,7 @@ def dp_tables(n, count=10):
         values[3] = values[0]
         cells = {
             (f"r{i + 1}", f"t{j:03d}"): float(values[i, j])
-            for i in range(5)
+            for i in range(runs)
             for j in range(n)
         }
         tables.append(matrix(f"M{k}", cells))
@@ -363,14 +364,16 @@ def assert_equals_the_oracle(reports, tables, b, alpha, seed):
 def test_pooled_dp_equals_the_per_table_oracle(pool_mode):
     cpus, pooled, opened = pool_mode
     seed, alpha = 9, 0.05
-    for n in (3, 129):
-        tables = dp_tables(n)
+    # Five, six and seven runs give 10, 15 and 21 pairs.  With four chunks
+    # per worker, 15 pairs on two CPUs and 21 on four end in a short chunk.
+    for runs, n in ((5, 3), (6, 3), (5, 129), (7, 129)):
+        tables = dp_tables(n, runs=runs)
         for b in (1, _BLOCK_ELEMENTS // n + 1, 1000):
             for size in (1, 2, 3, 10):
                 opened.clear()
                 reports = discriminative_powers(tables[:size], b, alpha, seed)
                 assert_equals_the_oracle(reports, tables[:size], b, alpha, seed)
-                # ten pairs, four chunks per worker: one worker per CPU
+                # more pairs than CPUs: one worker per CPU
                 assert opened == ([(cpus, "fork")] if pooled else [])
 
 
@@ -396,15 +399,6 @@ def test_pooled_dp_keeps_zero_spread_pairs(pool_mode):
     assert (pairs[("r1", "r4")].t, pairs[("r1", "r4")].asl) == (0.0, 1.0)
     pairs = {(p.run_a, p.run_b): p for p in reports[1].pairs}
     assert (pairs[("r1", "r3")].t, pairs[("r1", "r3")].asl) == (0.0, 1.0)
-
-
-def test_chunks_are_contiguous_and_cover_every_item():
-    items = list(range(10))
-    for count in (1, 3, 4, 10, 40):
-        chunks = analysis._chunks(items, count)
-        assert len(chunks) == min(count, len(items))
-        assert [x for c in chunks for x in c] == items
-        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
 
 def test_dp_t_statistic_is_the_paired_t(dp_matrix):

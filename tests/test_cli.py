@@ -447,6 +447,52 @@ def test_analyze_dp_files_do_not_depend_on_the_process_pool(tmp_path, monkeypatc
     assert outputs["pooled"] == outputs["in-process"]
 
 
+def test_analyze_audit_headers_hash_the_audit_settings(env):
+    assert evaluate(env) == 0
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs")]
+    texts = {}
+    for k in ("3", "4"):
+        assert analyze(env, env / f"k{k}", *audit, "--k", k) == 0
+        texts[k] = {p.name: p.read_text() for p in (env / f"k{k}").iterdir()}
+
+    def config(text):
+        return next(line for line in text.splitlines() if line.startswith("# config:"))
+
+    for name in ("zero_aspect.tsv", "quality_bands.tsv"):
+        assert config(texts["3"][name]) != config(texts["4"][name]), name
+    others = sorted(n for n in texts["3"] if n.startswith(("dp_", "correlation_")))
+    assert others == [
+        "correlation_EUCL-ndcg_vs_CHEB-ndcg.tsv", "dp_CHEB-ndcg.tsv", "dp_EUCL-ndcg.tsv"
+    ]
+    for name in others:
+        assert texts["3"][name] == texts["4"][name], name
+
+
+def test_analyze_honor_rank_changes_what_the_audits_see(env, capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert "--honor-rank" in capsys.readouterr().out
+    # Every run lists dz (worthless) first by rank but last by score.
+    for tag in ("runA", "runB"):
+        (env / "runs" / f"{tag}.run").write_text(
+            f"1 Q0 dz 1 1.0 {tag}\n1 Q0 d2 2 2.0 {tag}\n1 Q0 d1 3 3.0 {tag}\n"
+            f"2 Q0 d3 1 1.0 {tag}\n2 Q0 d1 2 2.0 {tag}\n"
+        )
+    assert evaluate(env) == 0
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs"), "--k", "1"]
+    assert analyze(env, env / "by_score", *audit) == 0
+    assert analyze(env, env / "by_rank", *audit, "--honor-rank") == 0
+
+    def rows(out):
+        text = (env / out / "zero_aspect.tsv").read_text()
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    assert rows("by_score") == ["1\t0\t0.00", "1-1\t0\t0.00"]
+    assert rows("by_rank") == ["1\t1\t50.00", "1-1\t1\t50.00"]
+
+
 def test_analyze_audit_inputs_come_as_a_trio(env, capsys):
     assert evaluate(env) == 0
     assert analyze(env, env / "reports", "--runs", str(env / "runs")) == 2

@@ -6,6 +6,7 @@ from aspecteval import (
     AspectSchema,
     CouplingRule,
     DimensionMismatch,
+    GroundTruth,
     MissingBestTuple,
     SchemaError,
     apply_rules,
@@ -149,6 +150,22 @@ def test_ground_truth_accessors(schema):
     gt.judged("1").clear()
     assert gt.judged("1") == {"d1": (1, 2), "d2": (0, 0)}
     assert len(gt) == 4
+
+
+def test_ground_truth_cannot_change_after_construction():
+    entries = {("1", "d1"): (1, 2)}
+    gt = GroundTruth(entries)
+    with pytest.raises(TypeError):
+        gt.entries[("2", "d9")] = (0, 1)
+    with pytest.raises(AttributeError):
+        gt.entries = {}
+    # the ground truth holds its own copy of the mapping it was built from,
+    # so get() and the per-topic index always agree
+    entries[("2", "d9")] = (0, 1)
+    entries[("1", "d1")] = (0, 0)
+    assert gt.get("2", "d9") is None and gt.get("1", "d1") == (1, 2)
+    assert gt.topics() == ("1",) and gt.judged("1") == {"d1": (1, 2)}
+    assert len(gt) == 1
 
 
 def test_ground_truth_rejects_rule_violations(schema):
