@@ -58,8 +58,6 @@ from .measures import (
     average_precision,
     cam_score,
     dcg,
-    estimate_upper_bound,
-    generate_ideal_rankings,
     mm_score,
     ndcg,
     score_runs,
@@ -84,7 +82,6 @@ from .schema import (
     TupleSpace,
     apply_rules,
     build_tuple_space,
-    ground_truth_from,
     pareto_dominates,
     parse_schema,
     satisfies_rules,
@@ -95,16 +92,16 @@ __all__ = [
     "__version__",
     # schema
     "Aspect", "AspectSchema", "CouplingRule", "GroundTruth", "LabelTuple",
-    "TupleSpace", "apply_rules", "build_tuple_space", "ground_truth_from",
-    "pareto_dominates", "parse_schema", "satisfies_rules", "validate_schema",
+    "TupleSpace", "apply_rules", "build_tuple_space", "pareto_dominates",
+    "parse_schema", "satisfies_rules", "validate_schema",
     # order
     "DistanceClass", "DistanceOrder", "Metric", "WeightAssignment",
     "assign_weights", "build_order", "check_extends_partial_order",
     "format_order_dump",
     # measures
     "MeasureConfig", "RankedList", "ScoreMatrix", "aspect_scores",
-    "average_precision", "cam_score", "dcg", "estimate_upper_bound",
-    "generate_ideal_rankings", "mm_score", "ndcg", "score_runs", "order_score",
+    "average_precision", "cam_score", "dcg", "mm_score", "ndcg", "score_runs",
+    "order_score",
     # ingest
     "RunFile", "discretize_quantile", "discretize_threshold", "join_aspect_qrels",
     "parse_qrels", "parse_run", "parse_signals", "serialize_run",

@@ -83,6 +83,13 @@ class Settings:
             self.used[f"{name}.{k}"] = v
         return items
 
+    def flag(self, name: str, given: bool) -> bool:
+        """A switch with no config key, recorded only when given, so outputs
+        made without it keep their hash."""
+        if given:
+            self.used[name] = "true"
+        return given
+
     def hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.used.items()))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -254,7 +261,7 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
     run_paths = args.runs or str(_require(st.get("files", "runs"), "runs path")).split()
-    runs, warnings = _load_runs(run_paths, args.honor_rank)
+    runs, warnings = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
@@ -325,7 +332,7 @@ def cmd_analyze(args) -> int:
         schema_path, qrels, run_paths = audit_inputs
         schema = parse_schema(_read(schema_path))
         gt, _ = _load_ground_truth(st, qrels, schema)
-        runs, _warn = _load_runs(run_paths, args.honor_rank)
+        runs, _warn = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
         best_by = st.get("analysis", "best_by", args.best_by, labels[0])
         try:
             chosen = matrices[labels.index(best_by)]

@@ -3,8 +3,14 @@
 Two instantiations are supported on top of a weight assignment (nDCG with
 linear gains and binary average precision), together with two per-aspect
 aggregation baselines: the weighted arithmetic mean over per-aspect scores
-and the weighted harmonic mean.  Ideal-ranking generation and upper-bound
-estimation live here as well, since they share the per-aspect gain plumbing.
+and the weighted harmonic mean.
+
+``score_runs`` scores a whole run set: per topic it builds one gain matrix
+(a row per judged doc, a column per weight assignment and per aspect) and
+gathers every run's ranking from it at once.  The scalar scorers
+(``order_score``, ``cam_score``, ``mm_score`` and the ``ndcg`` and
+``average_precision`` they call) score one ranking at a time; they are the
+reference that ``score_runs`` equals on every cell.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +34,6 @@ TABLE = "table"
 
 _IMPORTANCE_TOL = 1e-9
 _SCORE_SLACK = 1e-9
-_EXHAUSTIVE_LIMIT = 8
 
 
 def check_distinct(topic_id: str, doc_ids: Sequence[str]) -> None:
@@ -152,38 +157,6 @@ def _score(run: RankedList, column: Mapping[str, float], cfg: MeasureConfig) -> 
     return average_precision(run, relevant, len(relevant), cfg.depth)
 
 
-def _ideal(column: Mapping[str, float], cfg: MeasureConfig) -> float | set[str]:
-    """The part of ``_score`` that depends on the column alone: the ideal DCG
-    for nDCG, the relevant docs for AP, by the expressions of ``ndcg`` and
-    ``_score``."""
-    if cfg.kind == NDCG:
-        ideal_gains = sorted(column.values(), reverse=True)
-        if cfg.depth is not None:
-            ideal_gains = ideal_gains[: cfg.depth]
-        return dcg(ideal_gains, cfg.log_base)
-    return {d for d, g in column.items() if g}
-
-
-def _cell(
-    docs: Sequence[str], column: Mapping[str, float], ideal: float | set[str], cfg: MeasureConfig
-) -> float:
-    """``_score`` of a ranking truncated to ``cfg.depth``, given the column's
-    ``_ideal``; equal to it to the last bit."""
-    if cfg.kind == NDCG:
-        if ideal == 0.0:
-            return 0.0
-        return dcg([column.get(d, 0.0) for d in docs], cfg.log_base) / ideal
-    if not ideal:
-        return 0.0
-    hits = 0
-    acc = 0.0
-    for rank, doc in enumerate(docs, start=1):
-        if doc in ideal:
-            hits += 1
-            acc += hits / rank
-    return acc / len(ideal)
-
-
 def _weight_column(
     judged: Mapping[str, LabelTuple], weights: WeightAssignment
 ) -> dict[str, float]:
@@ -191,29 +164,6 @@ def _weight_column(
         return {d: float(weights.of(t)) for d, t in judged.items()}
     except KeyError as exc:
         raise ConfigError(f"judged tuple without a weight: {exc}") from None
-
-
-def _weight_columns(
-    judged: Mapping[str, LabelTuple], weights: Sequence[WeightAssignment]
-) -> list[dict[str, float]]:
-    """``_weight_column`` for each assignment, from one gather of the judged
-    tuples' cells in each order's class grid."""
-    if not weights:
-        return []
-    try:
-        tuples = np.array(list(judged.values()), dtype=np.int64)
-        cells = np.ravel_multi_index(tuples.T, weights[0].order.grid.shape)
-    except (ValueError, OverflowError, TypeError):
-        cells = None  # some tuple is off the grid
-    columns = []
-    for w in weights:
-        classes = None if cells is None else w.order.grid.reshape(-1)[cells]
-        if classes is None or (classes < 0).any():
-            # the per-tuple path fails on the first tuple off the order
-            columns.append(_weight_column(judged, w))
-            continue
-        columns.append(dict(zip(judged, [float(w.per_class[c]) for c in classes.tolist()])))
-    return columns
 
 
 def order_score(
@@ -339,63 +289,6 @@ def mm_score(
     return _mm(p, aspect_scores(run, gt, schema, cfg), variant)
 
 
-def generate_ideal_rankings(
-    topic_id: str,
-    judged: Mapping[str, LabelTuple],
-    schema: AspectSchema,
-    gain_vectors: Sequence[Sequence[float]] | None = None,
-) -> list[RankedList]:
-    """Candidate ideal orderings of the judged documents for one topic.
-
-    One candidate per aspect permutation (sort lexicographically by the
-    permuted per-aspect gains, descending), plus three scalarizations:
-    by gain sum, by sum of squared gains, and by max gain.  Ties always
-    break by ascending doc_id, so the output is deterministic.  For n
-    aspects this yields n! + 3 rankings.
-    """
-    vecs = (
-        [list(map(float, v)) for v in gain_vectors]
-        if gain_vectors is not None
-        else [[float(i) for i in range(a.n_grades)] for a in schema.aspects]
-    )
-    if len(vecs) != schema.n_aspects:
-        raise ConfigError("one gain vector per aspect is required")
-    doc_gains = {
-        d: tuple(vecs[i][g] for i, g in enumerate(t)) for d, t in judged.items()
-    }
-    docs = sorted(judged)
-    rankings = []
-    for perm in itertools.permutations(range(schema.n_aspects)):
-        key = lambda d: tuple(-doc_gains[d][a] for a in perm)
-        rankings.append(tuple(sorted(docs, key=lambda d: (key(d), d))))
-    for scalar in (sum, lambda g: sum(x * x for x in g), max):
-        rankings.append(
-            tuple(sorted(docs, key=lambda d: (-scalar(doc_gains[d]), d)))
-        )
-    return [RankedList(topic_id, r) for r in rankings]
-
-
-def estimate_upper_bound(
-    score: Callable[[RankedList], float],
-    topic_id: str,
-    judged: Mapping[str, LabelTuple],
-    schema: AspectSchema,
-    gain_vectors: Sequence[Sequence[float]] | None = None,
-) -> float:
-    """Best achievable score over candidate ideal rankings.
-
-    For topics with at most ``_EXHAUSTIVE_LIMIT`` judged documents every
-    permutation is tried, making the bound exact there.
-    """
-    candidates = generate_ideal_rankings(topic_id, judged, schema, gain_vectors)
-    if len(judged) <= _EXHAUSTIVE_LIMIT:
-        candidates.extend(
-            RankedList(topic_id, perm)
-            for perm in itertools.permutations(sorted(judged))
-        )
-    return max(score(rl) for rl in candidates)
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Scores for a full run set over a full topic set under one measure.
@@ -455,6 +348,69 @@ class ScoreMatrix:
         return self.values[:, self.topic_ids.index(topic_id)].tolist()
 
 
+def _gain_matrix(
+    judged: Mapping[str, LabelTuple],
+    weights: Sequence[WeightAssignment],
+    tables: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Gains of one topic's judged docs: a row per doc in ``judged`` order
+    plus a final zero row, a column per weight assignment (the weight of the
+    doc's class), then a column per aspect table (the gain of its grade).
+    A tuple off the grid or off an order fails as in ``_weight_column``."""
+    try:
+        grades = np.array(list(judged.values()), dtype=np.int64)
+        cells = np.ravel_multi_index(grades.T, tuple(map(len, tables)))
+    except (ValueError, OverflowError, TypeError):
+        for w in weights:
+            _weight_column(judged, w)  # raises, naming the first tuple off the grid
+        raise ConfigError("judged tuple off the grade grid") from None
+    gains = np.zeros((len(judged) + 1, len(weights) + len(tables)))
+    for c, w in enumerate(weights):
+        classes = w.order.grid.reshape(-1)[cells]
+        if (classes < 0).any():
+            _weight_column(judged, w)  # raises, naming the first tuple off the order
+        gains[:-1, c] = np.array(w.per_class, dtype=np.float64)[classes]
+    for c, table in enumerate(tables):
+        gains[:-1, len(weights) + c] = np.array(table)[grades[:, c]]
+    return gains
+
+
+def _row_indices(
+    judged: Mapping[str, LabelTuple], rankings: Sequence[Sequence[str]], depth: int | None
+) -> np.ndarray:
+    """Each ranking cut to ``depth`` as rows of the topic's gain matrix, one
+    ranking per row: -1, the zero row, for unjudged docs and as padding to a
+    common width of at least 1."""
+    row_of = {d: r for r, d in enumerate(judged)}
+    cut = [docs[:depth] for docs in rankings]
+    rows = np.full((len(cut), max([1, *map(len, cut)])), -1, dtype=np.intp)
+    for i, docs in enumerate(cut):
+        rows[i, : len(docs)] = [row_of.get(d, -1) for d in docs]
+    return rows
+
+
+def _scores(gains: np.ndarray, rows: np.ndarray, cfg: MeasureConfig) -> np.ndarray:
+    """``_score`` of every ranking in ``rows`` against every column of
+    ``gains``, as a (rankings, columns) array equal to it to the last bit:
+    the same discounts and divisions, and ``cumsum`` adds from left to right
+    as the scalar loops do.  Padding adds +0.0 to a non-negative sum."""
+    gathered = gains[rows]  # rankings x width x columns
+    width = rows.shape[1]
+    if cfg.kind == NDCG:
+        ideal_gains = np.sort(gains[:-1], axis=0)[::-1][: cfg.depth]
+        log_b = math.log(cfg.log_base)
+        n = max(width, len(ideal_gains))
+        discount = np.array([math.log(i + 1) / log_b for i in range(1, n + 1)])[:, None]
+        ideal = np.cumsum(ideal_gains / discount[: len(ideal_gains)], axis=0)[-1]
+        run = np.cumsum(gathered / discount[:width], axis=1)[:, -1]
+        return np.divide(run, ideal, out=np.zeros_like(run), where=ideal != 0.0)
+    hit = gathered != 0.0
+    rank = np.arange(1, width + 1)[:, None]
+    acc = np.cumsum(np.where(hit, np.cumsum(hit, axis=1) / rank, 0.0), axis=1)[:, -1]
+    relevant = np.count_nonzero(gains[:-1], axis=0)
+    return np.divide(acc, relevant, out=np.zeros_like(acc), where=relevant != 0)
+
+
 def score_runs(
     runs: Sequence,
     gt: GroundTruth,
@@ -491,26 +447,27 @@ def score_runs(
     p = _resolve_importance(schema, importance)
     if mm_variant not in (CANONICAL, TABLE):
         raise ConfigError(f"unknown harmonic-mean variant {mm_variant!r}")
-    matrices: dict[str, ScoreMatrix] = {}
+    setups = []
     for kind in kinds:
         cfg = MeasureConfig(kind, depth, log_base, aspect_gains, aspect_relevant)
         policy = weight_policy if kind == NDCG else "binary"
         weights = [assign_weights(orders[m], policy) for m in metrics]
-        tables = [_aspect_table(a, cfg) for a in schema.aspects]
+        setups.append((cfg, weights, [_aspect_table(a, cfg) for a in schema.aspects]))
+    n = len(metrics)
+    # values[k, c, i, j]: kind kinds[k], column c (the metrics, then CAM and
+    # MM), run tags[i], topic topics[j]
+    values = np.empty((len(kinds), n + 2, len(tags), len(topics)))
+    for j, topic in enumerate(topics):
+        judged = gt.judged(topic)
+        rows = _row_indices(judged, [by_tag[t].topics.get(topic, ()) for t in tags], depth)
+        for k, (cfg, weights, tables) in enumerate(setups):
+            scores = _scores(_gain_matrix(judged, weights, tables), rows, cfg)
+            values[k, :n, :, j] = scores[:, :n].T
+            for i, mu in enumerate(scores[:, n:].tolist()):
+                values[k, n:, i, j] = _cam(p, mu), _mm(p, mu, mm_variant)
+    matrices: dict[str, ScoreMatrix] = {}
+    for kind, kind_values in zip(kinds, values):
         labels = [f"{m.short}-{kind}" for m in metrics] + [f"CAM-{kind}", f"MM-{kind}"]
-        # values[k, i, j]: measure labels[k], run tags[i], topic topics[j]
-        values = np.empty((len(labels), len(tags), len(topics)))
-        for j, topic in enumerate(topics):
-            judged = gt.judged(topic)
-            # the metric columns first, then one column per aspect
-            columns = _weight_columns(judged, weights)
-            columns += _aspect_columns(judged, tables)
-            ideals = [_ideal(column, cfg) for column in columns]
-            for i, tag in enumerate(tags):
-                docs = by_tag[tag].topics.get(topic, ())[:depth]
-                scores = [_cell(docs, c, ideal, cfg) for c, ideal in zip(columns, ideals)]
-                mu = scores[len(metrics) :]
-                values[:, i, j] = [*scores[: len(metrics)], _cam(p, mu), _mm(p, mu, mm_variant)]
-        for label, cells in zip(labels, values):
+        for label, cells in zip(labels, kind_values):
             matrices[label] = ScoreMatrix(label, tags, topics, cells)
     return matrices

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import lt
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -367,22 +367,3 @@ class GroundTruth:
     def __len__(self) -> int:
         return len(self.entries)
 
-
-def ground_truth_from(
-    rows: Iterable[tuple[str, str, LabelTuple]] | Mapping[tuple[str, str], LabelTuple],
-    schema: AspectSchema,
-) -> GroundTruth:
-    """Build a GroundTruth from (topic, doc, tuple) rows, validating each tuple
-    against the schema and its coupling rules."""
-    if isinstance(rows, Mapping):
-        rows = [(t, d, lt) for (t, d), lt in rows.items()]
-    entries: dict[tuple[str, str], LabelTuple] = {}
-    for topic, doc, lt in rows:
-        schema.check_tuple(lt)
-        if not satisfies_rules(lt, schema):
-            raise SchemaError(
-                f"judgment {schema.format_tuple(lt)} for {topic}/{doc} "
-                "violates a coupling rule"
-            )
-        entries[(topic, doc)] = lt
-    return GroundTruth(entries)

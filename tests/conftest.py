@@ -5,7 +5,14 @@ import itertools
 
 import pytest
 
-from aspecteval import RankedList, RunFile, ground_truth_from, parse_schema
+from aspecteval import (
+    GroundTruth,
+    RankedList,
+    RunFile,
+    SchemaError,
+    parse_schema,
+    satisfies_rules,
+)
 
 REFERENCE_SCHEMA = """\
 # relevance embedded on 0..3, correctness on 0..3 with uneven steps
@@ -37,6 +44,21 @@ ALL_RANKINGS = [
     for size in (1, 2, 3)
     for perm in itertools.permutations(sorted(POOL), size)
 ]
+
+
+def ground_truth_from(rows, schema):
+    """Build a GroundTruth from (topic, doc, tuple) rows, validating each tuple
+    against the schema and its coupling rules."""
+    entries = {}
+    for topic, doc, lt in rows:
+        schema.check_tuple(lt)
+        if not satisfies_rules(lt, schema):
+            raise SchemaError(
+                f"judgment {schema.format_tuple(lt)} for {topic}/{doc} "
+                "violates a coupling rule"
+            )
+        entries[(topic, doc)] = lt
+    return GroundTruth(entries)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Everything here is written for obviousness, not speed: plain loops, no code
 shared with the package under test.  The one deliberate overlap is the
 bootstrap RNG recipe (per-pair SeedSequence over the seed and the sha256 of
 each run tag, one uniform index block of shape (B, n)), which is part of the
-tool's output contract and is rebuilt here from that description.
+tool's output contract and is rebuilt here from that description.  The
+ideal-ranking enumerator behind AC4's upper bound lives here too; it hands
+the package's ``RankedList`` to the scorers it maximizes over.
 """
 
 import hashlib
@@ -13,6 +15,8 @@ import math
 import random
 
 import numpy as np
+
+from aspecteval import ConfigError, RankedList
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +312,58 @@ def ref_quality_bands(best, run_docs, judged, bands):
                 values.append(sum(grades) if grades is not None else 0)
         rows.append(((lo, hi), len(values), sum(values) / len(values) if values else None))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# ideal rankings and the upper bound behind AC4's aggregation gap
+
+EXHAUSTIVE_LIMIT = 8
+
+
+def generate_ideal_rankings(topic_id, judged, schema, gain_vectors=None):
+    """Candidate ideal orderings of the judged documents for one topic.
+
+    One candidate per aspect permutation (sort lexicographically by the
+    permuted per-aspect gains, descending), plus three scalarizations:
+    by gain sum, by sum of squared gains, and by max gain.  Ties always
+    break by ascending doc_id, so the output is deterministic.  For n
+    aspects this yields n! + 3 rankings.
+    """
+    vecs = (
+        [list(map(float, v)) for v in gain_vectors]
+        if gain_vectors is not None
+        else [[float(i) for i in range(a.n_grades)] for a in schema.aspects]
+    )
+    if len(vecs) != schema.n_aspects:
+        raise ConfigError("one gain vector per aspect is required")
+    doc_gains = {
+        d: tuple(vecs[i][g] for i, g in enumerate(t)) for d, t in judged.items()
+    }
+    docs = sorted(judged)
+    rankings = []
+    for perm in itertools.permutations(range(schema.n_aspects)):
+        key = lambda d: tuple(-doc_gains[d][a] for a in perm)
+        rankings.append(tuple(sorted(docs, key=lambda d: (key(d), d))))
+    for scalar in (sum, lambda g: sum(x * x for x in g), max):
+        rankings.append(
+            tuple(sorted(docs, key=lambda d: (-scalar(doc_gains[d]), d)))
+        )
+    return [RankedList(topic_id, r) for r in rankings]
+
+
+def estimate_upper_bound(score, topic_id, judged, schema, gain_vectors=None):
+    """Best achievable ``score`` over candidate ideal rankings.
+
+    For topics with at most ``EXHAUSTIVE_LIMIT`` judged documents every
+    permutation is tried, making the bound exact there.
+    """
+    candidates = generate_ideal_rankings(topic_id, judged, schema, gain_vectors)
+    if len(judged) <= EXHAUSTIVE_LIMIT:
+        candidates.extend(
+            RankedList(topic_id, perm)
+            for perm in itertools.permutations(sorted(judged))
+        )
+    return max(score(rl) for rl in candidates)
 
 
 # ---------------------------------------------------------------------------

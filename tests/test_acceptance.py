@@ -27,8 +27,6 @@ from aspecteval import (
     discretize_quantile,
     discretize_threshold,
     discriminative_power,
-    estimate_upper_bound,
-    ground_truth_from,
     kendall_tau,
     mm_score,
     ndcg,
@@ -39,8 +37,9 @@ from aspecteval import (
 )
 from aspecteval.cli import main
 from aspecteval.reports import render_dp
-from conftest import BASELINE_GAINS, BASELINE_RELEVANT, REFERENCE_SCHEMA
+from conftest import BASELINE_GAINS, BASELINE_RELEVANT, REFERENCE_SCHEMA, ground_truth_from
 from reference_impl import (
+    estimate_upper_bound,
     read_score_table,
     ref_best_runs,
     ref_correlation,

@@ -245,17 +245,21 @@ def test_evaluate_honor_rank_changes_tie_handling(env):
         "1 Q0 d1 1 1.0 runA\n1 Q0 d2 2 1.0 runA\n2 Q0 d1 1 1.0 runA\n"
     )
     (env / "runs" / "runB.run").write_text("1 Q0 d2 1 2.0 runB\n2 Q0 d1 1 1.0 runB\n")
+
+    def rows():
+        text = (env / "out" / "scores_EUCL-ndcg.tsv").read_text()
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
     assert evaluate(env, "--metric", "euclidean", "--measure", "ndcg") == 0
-    by_score = (env / "out" / "scores_EUCL-ndcg.tsv").read_text()
+    by_score = rows()
     assert evaluate(env, "--metric", "euclidean", "--measure", "ndcg", "--honor-rank") == 0
-    by_rank = (env / "out" / "scores_EUCL-ndcg.tsv").read_text()
+    by_rank = rows()
     assert by_score == by_rank  # rank column happens to agree with doc-id order here
     (env / "runs" / "runA.run").write_text(
         "1 Q0 d1 2 1.0 runA\n1 Q0 d2 1 1.0 runA\n2 Q0 d1 1 1.0 runA\n"
     )
     assert evaluate(env, "--metric", "euclidean", "--measure", "ndcg", "--honor-rank") == 0
-    flipped = (env / "out" / "scores_EUCL-ndcg.tsv").read_text()
-    assert flipped != by_rank
+    assert rows() != by_rank
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +471,32 @@ def test_analyze_audit_headers_hash_the_audit_settings(env):
     ]
     for name in others:
         assert texts["3"][name] == texts["4"][name], name
+
+
+def test_honor_rank_reaches_the_config_hash(env):
+    def configs(out):
+        return {
+            p.name: next(l for l in p.read_text().splitlines() if l.startswith("# config:"))
+            for p in sorted(out.iterdir())
+        }
+
+    assert evaluate(env) == 0
+    by_score = configs(env / "out")
+    assert evaluate(env, "--honor-rank") == 0
+    by_rank = configs(env / "out")
+    assert sorted(by_score) == sorted(by_rank) and by_score
+    for name in by_score:
+        assert by_score[name] != by_rank[name], name
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs")]
+    assert analyze(env, env / "by_score", *audit) == 0
+    assert analyze(env, env / "by_rank", *audit, "--honor-rank") == 0
+    by_score, by_rank = configs(env / "by_score"), configs(env / "by_rank")
+    assert {"zero_aspect.tsv", "quality_bands.tsv"} < set(by_score) == set(by_rank)
+    # only the audits read runs
+    for name in by_score:
+        audits = name in ("zero_aspect.tsv", "quality_bands.tsv")
+        assert (by_score[name] != by_rank[name]) == audits, name
 
 
 def test_analyze_honor_rank_changes_what_the_audits_see(env, capsys):

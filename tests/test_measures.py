@@ -27,9 +27,6 @@ from aspecteval import (
     build_tuple_space,
     cam_score,
     dcg,
-    estimate_upper_bound,
-    generate_ideal_rankings,
-    ground_truth_from,
     mm_score,
     ndcg,
     parse_schema,
@@ -41,12 +38,13 @@ from conftest import (
     BASELINE_GAINS,
     BASELINE_RELEVANT,
     POOL,
+    ground_truth_from,
     pool_runs,
     ranking,
     run_of,
     run_tag_for,
 )
-from reference_impl import ref_sum
+from reference_impl import estimate_upper_bound, generate_ideal_rankings, ref_sum
 
 # ---------------------------------------------------------------------------
 # primitives
@@ -437,7 +435,9 @@ def test_missing_topic_scores_zero(schema, gt):
     assert matrices["EUCL-ndcg"].score("sysB", "1") == 0.0
 
 
-def test_score_runs_equals_the_scalar_scorers_on_every_cell():
+@pytest.mark.parametrize("depth", [None, 1, 5])
+@pytest.mark.parametrize("log_base", [2, 10])
+def test_score_runs_equals_the_scalar_scorers_on_every_cell(depth, log_base):
     rng = random.Random(1202)
     lines = []
     for a, n_grades in enumerate((4, 3, 3)):
@@ -451,27 +451,36 @@ def test_score_runs_equals_the_scalar_scorers_on_every_cell():
     schema = parse_schema("\n".join(lines))
     space = build_tuple_space(schema)
     assert len(space) < 4 * 3 * 3
+    topics = "12345"
     gt = ground_truth_from(
-        [(t, f"d{d}", rng.choice(space.tuples)) for t in "123" for d in range(8)], schema
+        [(t, f"d{d}", rng.choice(space.tuples)) for t in "123" for d in range(8)]
+        # topic 4 is all worst grades, so every ideal is 0; no run retrieves topic 5
+        + [("4", f"d{d}", schema.worst_tuple) for d in range(3)]
+        + [("5", f"d{d}", rng.choice(space.tuples)) for d in range(4)],
+        schema,
     )
-    docs = [f"d{d}" for d in range(8)] + ["u1", "u2", "u3"]  # u* are unjudged
+    docs = [f"d{d}" for d in range(8)] + [f"u{u}" for u in range(6)]  # u* are unjudged
     runs = [
-        run_of(f"s{i}", {t: rng.sample(docs, rng.randint(1, len(docs))) for t in topics})
-        for i, topics in enumerate(["123", "13", "2", ""])
+        run_of(f"s{i}", {t: rng.sample(docs, rng.randint(1, len(docs))) for t in run_topics})
+        for i, run_topics in enumerate(["1234", "134", "2", ""])
     ]
+    # every doc, so longer than any depth and than the judged pool
+    runs.append(run_of("s4", {"1": docs[::-1], "2": docs, "4": docs}))
     importance = {"a0": 0.5, "a1": 0.3, "a2": 0.2}
     gains = {"a0": {"g0": 0, "g1": 1, "g2": 1, "g3": 7}, "a1": {"g0": 0, "g1": 2, "g2": 3}}
     relevant = {"a0": ["g2", "g3"], "a1": ["g2"]}
-    settings = dict(depth=5, log_base=10, aspect_gains=gains, aspect_relevant=relevant)
+    settings = dict(depth=depth, log_base=log_base, aspect_gains=gains, aspect_relevant=relevant)
     clamp = lambda s: min(1.0, max(0.0, s))
     for variant in ("canonical", "table"):
         matrices = score_runs(
             runs, gt, schema, importance=importance, mm_variant=variant, **settings
         )
+        assert all(m.topic_ids == tuple(topics) for m in matrices.values())
+        assert not any(m.values[:, topics.index("4")].any() for m in matrices.values())
         for kind, policy in (("ndcg", "distinct"), ("ap", "binary")):
             cfg = MeasureConfig(kind, **settings)
             weights = {m: assign_weights(build_order(space, schema, m), policy) for m in Metric}
-            for rf, topic in itertools.product(runs, "123"):
+            for rf, topic in itertools.product(runs, topics):
                 rl, tag = rf.ranking(topic), rf.run_tag
                 for m, w in weights.items():
                     got = matrices[f"{m.short}-{kind}"].score(tag, topic)
@@ -492,3 +501,6 @@ def test_score_runs_rejects_a_judged_tuple_off_the_order_as_the_scalar_scorer_do
     with pytest.raises(ConfigError) as batch:
         score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",))
     assert str(batch.value) == str(scalar.value)
+    if bad != (0, 1):  # off the grid: CAM and MM alone must not wrap a grade either
+        with pytest.raises(ConfigError, match="off the grade grid"):
+            score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",), metrics=())

@@ -25,10 +25,10 @@ from aspecteval import (
     build_tuple_space,
     check_extends_partial_order,
     format_order_dump,
-    ground_truth_from,
     order_score,
     parse_schema,
 )
+from conftest import ground_truth_from
 from reference_impl import ref_build_order, ref_extends_dominance, ref_tuple_space
 
 SCHEMA_TEMPLATE = """\

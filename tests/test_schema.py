@@ -11,12 +11,11 @@ from aspecteval import (
     SchemaError,
     apply_rules,
     build_tuple_space,
-    ground_truth_from,
     pareto_dominates,
     parse_schema,
     satisfies_rules,
 )
-from conftest import REFERENCE_SCHEMA
+from conftest import REFERENCE_SCHEMA, ground_truth_from
 
 
 def test_parse_reference_schema(schema):
