@@ -266,7 +266,7 @@ def cmd_evaluate(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
 
     metric_name = st.get("order", "metric", args.metric, "all")
-    metrics = tuple(Metric) if metric_name == "all" else (Metric.parse(metric_name),)
+    metrics = tuple(Metric) if metric_name.lower() == "all" else (Metric.parse(metric_name),)
     kind = st.get("measure", "kind", args.measure, "both")
     if kind not in (NDCG, AP, "both"):
         raise ConfigError(f"unknown measure kind {kind!r}")

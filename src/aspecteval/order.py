@@ -5,20 +5,22 @@ values) and ranked by distance from the best tuple.  Each aspect gets one
 column of steps, the best grade's value minus each grade's value, so a key is
 a sum over the tuple's grades (squared steps for Euclidean, plain steps for
 Manhattan) or their max (Chebyshev), in exact Python ints.  Ties form
-equivalence classes; class 0 is closest to the best tuple.
+equivalence classes, numbered by hashing: only the distinct keys are sorted.
+Class 0 is closest to the best tuple.
 
 An order is one key per class and a grid of class indices over the grade
 grid.  The check that it extends Pareto dominance takes a suffix maximum of
 that grid, so it is linear in the grid size; the test suite keeps the dense
-pairwise check as its oracle.
+pairwise check as its oracle.  Members and dumps list the grid's cells once;
+a dump reads their labels from one table of every grid cell's label string.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import getitem
 from typing import Sequence
 
 import numpy as np
@@ -81,14 +83,17 @@ class DistanceOrder:
     def classes(self) -> tuple[DistanceClass, ...]:
         """Each class with its members in descending lexicographic order of
         their grade indices, which makes dumps deterministic."""
-        cells = np.argwhere(self.grid >= 0)[::-1]
-        cls = self.grid[tuple(cells.T)]
-        members = list(zip(*cells[np.argsort(cls, kind="stable")].T.tolist()))
+        cells, spans = self._cells()
+        members = list(zip(*np.array(np.unravel_index(cells, self.grid.shape)).tolist()))
+        return tuple(DistanceClass(key, tuple(members[a:b])) for key, a, b in spans)
+
+    def _cells(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """Flat grid indices of the members, class by class, each class in
+        descending lexicographic order; and (key, start, end) per class."""
+        cells = np.flatnonzero(self.grid >= 0)[::-1]
+        cls = self.grid.ravel()[cells]
         ends = np.cumsum(np.bincount(cls, minlength=self.n_classes)).tolist()
-        return tuple(
-            DistanceClass(key, tuple(members[start:end]))
-            for key, start, end in zip(self.keys, [0, *ends], ends)
-        )
+        return cells[np.argsort(cls, kind="stable")], list(zip(self.keys, [0, *ends], ends))
 
     def class_of(self, t: LabelTuple) -> int:
         """Index of the class containing ``t`` (0 = closest to best)."""
@@ -101,7 +106,8 @@ def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> Dist
     """Group the space by distance from the best tuple and sort the groups.
 
     The keys are a broadcast sum (max for Chebyshev) of per-aspect step
-    columns in one object array, so keys of any size stay exact ints.
+    columns in one object array, so keys of any size stay exact ints.  A
+    set of the feasible keys is sorted, and a dict numbers the classes.
     """
     schema.check_grid(space.mask.shape)
     if schema.best_tuple not in space:
@@ -113,10 +119,12 @@ def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> Dist
     ]
     # np.ix_ lays each aspect's steps along its own axis
     keys = functools.reduce(np.maximum if metric is Metric.CHEBYSHEV else np.add, np.ix_(*steps))
-    distinct, classes = np.unique(keys[space.mask], return_inverse=True)
+    flat = keys[space.mask].tolist()
+    distinct = sorted(set(flat))
+    rank = dict(zip(distinct, range(len(distinct))))
     grid = np.full(space.mask.shape, -1, dtype=np.int64)
-    grid[space.mask] = classes
-    return DistanceOrder(metric, schema, tuple(distinct.tolist()), grid)
+    grid[space.mask] = np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat))
+    return DistanceOrder(metric, schema, tuple(distinct), grid)
 
 
 def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> bool:
@@ -199,15 +207,14 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
 
 
 def format_order_dump(order: DistanceOrder) -> str:
-    """Render an order as one text line per class::
+    """Render an order as one text line per class, reading the members'
+    labels from a table of every grid cell's label string, in flat order::
 
         class 0 dist 0 : hr,c
         class 1 dist 1 : fr,c;hr,pc
     """
-    labels = [a.labels for a in order.schema.aspects]
-    lines = [
-        f"class {i} dist {cls.key} : "
-        + ";".join(",".join(map(getitem, labels, t)) for t in cls.members)
-        for i, cls in enumerate(order.classes)
-    ]
+    table = [",".join(p) for p in itertools.product(*(a.labels for a in order.schema.aspects))]
+    cells, spans = order._cells()
+    names = list(map(table.__getitem__, cells.tolist()))
+    lines = [f"class {i} dist {k} : " + ";".join(names[a:b]) for i, (k, a, b) in enumerate(spans)]
     return "\n".join(lines) + "\n"

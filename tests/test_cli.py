@@ -197,6 +197,14 @@ def test_evaluate_flag_overrides_config_metric(env):
     assert "scores_CHEB-ndcg.tsv" not in names
 
 
+def test_evaluate_config_metric_all_ignores_case(env):
+    # Metric.parse lowercases a single metric name; "all" reads the same way
+    (env / "eval.ini").write_text("[order]\nmetric = All\n")
+    assert evaluate(env, "--config", str(env / "eval.ini"), "--measure", "ndcg") == 0
+    names = {p.name for p in (env / "out").iterdir()}
+    assert {"scores_EUCL-ndcg.tsv", "scores_MANH-ndcg.tsv", "scores_CHEB-ndcg.tsv"} <= names
+
+
 def test_evaluate_config_can_supply_all_paths(env):
     ini = env / "all.ini"
     ini.write_text(

@@ -301,6 +301,69 @@ def test_grid_orders_equal_the_tuple_list_oracle():
             )
 
 
+def wide_schema():
+    """Seven aspects of 6,6,6,5,5,5,5 grades with steps 1,2,2,1,2,3,4 and two
+    rules on the worst grades: 97,650 feasible tuples."""
+    lines = []
+    for i, (n, step) in enumerate(zip((6, 6, 6, 5, 5, 5, 5), (1, 2, 2, 1, 2, 3, 4))):
+        lines.append(f"aspect w{i}")
+        lines.extend(f"label g{g} {g * step}" for g in range(n))
+    lines += ["couple w0 g0 w1 g0", "couple w3 g0 w4 g0"]
+    return parse_schema("\n".join(lines) + "\n")
+
+
+def test_orders_at_workload_size_equal_the_oracle():
+    schema = wide_schema()
+    space = build_tuple_space(schema)
+    feasible = ref_tuple_space(schema)
+    assert len(feasible) == len(space) == 97650
+    label = {t: schema.format_tuple(t) for t in feasible}
+    for metric in Metric:
+        order = build_order(space, schema, metric)
+        expected = ref_build_order(feasible, schema, metric)
+        assert order.keys == tuple(key for key, _ in expected)
+        assert [(c.key, c.members) for c in order.classes] == expected
+        assert format_order_dump(order) == "".join(
+            f"class {i} dist {key} : " + ";".join(map(label.get, members)) + "\n"
+            for i, (key, members) in enumerate(expected)
+        )
+
+
+def test_keys_beyond_64_bits_that_tie_share_one_class():
+    big = 2**65
+    s = parse_schema(f"aspect a\nlabel x 0\nlabel y {big}\naspect b\nlabel p 0\nlabel q {big}\n")
+    # (0, 1) and (1, 0) tie; under Chebyshev (0, 0) ties with them too
+    expected = {
+        Metric.EUCLIDEAN: ((0, big**2, 2 * big**2), ((1, 0), (0, 1))),
+        Metric.MANHATTAN: ((0, big, 2 * big), ((1, 0), (0, 1))),
+        Metric.CHEBYSHEV: ((0, big), ((1, 0), (0, 1), (0, 0))),
+    }
+    for metric, (keys, tied) in expected.items():
+        order = build_order(build_tuple_space(s), s, metric)
+        assert order.keys == keys
+        assert all(type(key) is int for key in order.keys)
+        assert order.classes[order.class_of((0, 1))].members == tied
+
+
+def test_keys_come_only_from_feasible_tuples():
+    # best (1, 2); the rule removes (0, 1) and (0, 2), the only tuples with
+    # Manhattan keys 10 and 11 and Euclidean keys 100 and 101
+    s = parse_schema(
+        "aspect a\nlabel x 0\nlabel y 10\naspect b\nlabel p 0\nlabel q 1\nlabel r 2\n"
+        "couple a x b p\n"
+    )
+    space = build_tuple_space(s)
+    expected = {
+        Metric.EUCLIDEAN: (0, 1, 4, 104),
+        Metric.MANHATTAN: (0, 1, 2, 12),
+        Metric.CHEBYSHEV: (0, 1, 2, 10),
+    }
+    for metric, keys in expected.items():
+        order = build_order(space, s, metric)
+        assert order.keys == keys
+        assert order.n_classes == len(ref_build_order(ref_tuple_space(s), s, metric))
+
+
 def test_apply_rules_lands_in_the_space():
     for schema in oracle_schemas()[1:80:2]:  # the schemas with rules
         space = build_tuple_space(schema)
