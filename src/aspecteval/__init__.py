@@ -16,7 +16,6 @@ from .analysis import (
     PairTest,
     QualityBandReport,
     ZeroAspectReport,
-    discriminative_power,
     discriminative_powers,
     kendall_tau,
     measure_correlation,
@@ -82,9 +81,7 @@ from .schema import (
     TupleSpace,
     apply_rules,
     build_tuple_space,
-    pareto_dominates,
     parse_schema,
-    satisfies_rules,
     validate_schema,
 )
 
@@ -92,8 +89,8 @@ __all__ = [
     "__version__",
     # schema
     "Aspect", "AspectSchema", "CouplingRule", "GroundTruth", "LabelTuple",
-    "TupleSpace", "apply_rules", "build_tuple_space", "pareto_dominates",
-    "parse_schema", "satisfies_rules", "validate_schema",
+    "TupleSpace", "apply_rules", "build_tuple_space", "parse_schema",
+    "validate_schema",
     # order
     "DistanceClass", "DistanceOrder", "Metric", "WeightAssignment",
     "assign_weights", "build_order", "check_extends_partial_order",
@@ -107,8 +104,7 @@ __all__ = [
     "parse_qrels", "parse_run", "parse_signals", "serialize_run",
     # analysis
     "CorrelationReport", "DPReport", "PairTest", "QualityBandReport",
-    "ZeroAspectReport", "discriminative_power", "discriminative_powers",
-    "kendall_tau",
+    "ZeroAspectReport", "discriminative_powers", "kendall_tau",
     "measure_correlation", "quality_bands", "select_best_runs",
     "zero_aspect_at_k",
     # errors

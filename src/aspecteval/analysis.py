@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateInput, MatrixMismatch
-from .measures import ScoreMatrix, left_sum
+from .measures import ScoreMatrix, left_sum, runs_by_tag
 from .schema import GroundTruth
 
 
@@ -300,14 +300,6 @@ def discriminative_powers(
     )
 
 
-def discriminative_power(
-    m: ScoreMatrix, b_samples: int, alpha: float, seed: int
-) -> DPReport:
-    """The paired-bootstrap test of one score table; see
-    ``discriminative_powers``."""
-    return discriminative_powers([m], b_samples, alpha, seed)[0]
-
-
 def select_best_runs(m: ScoreMatrix) -> dict[str, str]:
     """Per topic, the run with the highest score (ties: run_tag ascending)."""
     # argmax takes the first maximum, and run_tags are sorted.
@@ -332,7 +324,7 @@ class ZeroAspectReport:
 
 def _best_rankings(best: Mapping[str, str], runs) -> Iterator[tuple[str, tuple[str, ...]]]:
     """(topic, doc ids of the topic's best run), in sorted topic order."""
-    by_tag = {rf.run_tag: rf for rf in runs}
+    by_tag = runs_by_tag(runs)
     for topic in sorted(best):
         try:
             rf = by_tag[best[topic]]

@@ -47,7 +47,7 @@ from .reports import (
     render_scores,
     render_zero_aspect,
 )
-from .schema import build_tuple_space, parse_schema
+from .schema import GroundTruth, build_tuple_space, parse_schema
 
 DEFAULT_BANDS = "1-25,26-50,51-75,76-100"
 
@@ -125,10 +125,7 @@ def _parse_float(value, what: str) -> float:
 def _parse_depth(value) -> int | None:
     if value is None or str(value).lower() == "full":
         return None
-    depth = _parse_int(value, "depth")
-    if depth < 1:
-        raise ConfigError("depth must be at least 1")
-    return depth
+    return _parse_int(value, "depth")
 
 
 def _parse_number_list(value: str, what: str) -> list[float]:
@@ -189,7 +186,8 @@ def _importance(st: Settings, schema):
     }
 
 
-def _load_ground_truth(st: Settings, qrels_args, schema):
+def _load_ground_truth(st: Settings, qrels_args, schema) -> GroundTruth:
+    """The qrels, with a warning on stderr if coupling rules corrected any."""
     qrels = qrels_args or str(
         _require(st.get("files", "qrels"), "qrels path")
     ).split()
@@ -203,13 +201,22 @@ def _load_ground_truth(st: Settings, qrels_args, schema):
                     "mixing plain and aspect=path qrels arguments is not supported"
                 )
             per_aspect[aspect] = _read(path)
-        return join_aspect_qrels(per_aspect, schema, merge)
-    if len(qrels) != 1:
+        gt, corrections = join_aspect_qrels(per_aspect, schema, merge)
+    elif len(qrels) != 1:
         raise ConfigError("expected one multi-aspect qrels file or aspect=path pairs")
-    return parse_qrels(_read(qrels[0]), schema, merge)
+    else:
+        gt, corrections = parse_qrels(_read(qrels[0]), schema, merge)
+    if corrections:
+        print(
+            f"warning: corrected {corrections} coupling-rule violations in the qrels",
+            file=sys.stderr,
+        )
+    return gt
 
 
-def _load_runs(paths: list[str], honor_rank: bool) -> tuple[list[RunFile], list[str]]:
+def _load_runs(paths: list[str], honor_rank: bool) -> list[RunFile]:
+    """The run files under ``paths``; an empty one warns on stderr and
+    scores 0."""
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)
@@ -219,17 +226,20 @@ def _load_runs(paths: list[str], honor_rank: bool) -> tuple[list[RunFile], list[
             files.append(p)
         else:
             raise ConfigError(f"run path not found: {raw}")
-    runs, warnings = [], []
+    runs = []
     for f in files:
         text = f.read_text()
         if any(l.strip() and not l.lstrip().startswith("#") for l in text.splitlines()):
             runs.append(parse_run(text, honor_rank=honor_rank))
         else:
-            warnings.append(f"run file {f} is empty; scoring run {f.stem!r} as 0")
+            print(
+                f"warning: run file {f} is empty; scoring run {f.stem!r} as 0",
+                file=sys.stderr,
+            )
             runs.append(RunFile(f.stem, {}, {}))
     if not runs:
         raise ConfigError("no run files given")
-    return runs, warnings
+    return runs
 
 
 def _write_out(text: str, out: str | None):
@@ -254,29 +264,18 @@ def cmd_order(args) -> int:
 def cmd_evaluate(args) -> int:
     st = Settings(args.config)
     schema = parse_schema(_read(_require(st.get("files", "schema", args.schema), "schema path")))
-    gt, corrections = _load_ground_truth(st, args.qrels, schema)
-    if corrections:
-        print(
-            f"warning: corrected {corrections} coupling-rule violations in the qrels",
-            file=sys.stderr,
-        )
+    gt = _load_ground_truth(st, args.qrels, schema)
     run_paths = args.runs or str(_require(st.get("files", "runs"), "runs path")).split()
-    runs, warnings = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    runs = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
 
     metric_name = st.get("order", "metric", args.metric, "all")
     metrics = tuple(Metric) if metric_name.lower() == "all" else (Metric.parse(metric_name),)
     kind = st.get("measure", "kind", args.measure, "both")
-    if kind not in (NDCG, AP, "both"):
-        raise ConfigError(f"unknown measure kind {kind!r}")
     kinds = (NDCG, AP) if kind == "both" else (kind,)
     weight_policy = st.get("order", "weights", args.weights, "distinct")
     depth = _parse_depth(st.get("measure", "depth", args.depth))
     log_base = _parse_float(st.get("measure", "log_base", None, "2"), "log base")
     mm_variant = st.get("mm", "variant", args.mm_variant, CANONICAL)
-    if mm_variant not in (CANONICAL, TABLE):
-        raise ConfigError(f"unknown harmonic-mean variant {mm_variant!r}")
 
     matrices = score_runs(
         runs,
@@ -331,8 +330,8 @@ def cmd_analyze(args) -> int:
     if all(audit_inputs):
         schema_path, qrels, run_paths = audit_inputs
         schema = parse_schema(_read(schema_path))
-        gt, _ = _load_ground_truth(st, qrels, schema)
-        runs, _warn = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
+        gt = _load_ground_truth(st, qrels, schema)
+        runs = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
         best_by = st.get("analysis", "best_by", args.best_by, labels[0])
         try:
             chosen = matrices[labels.index(best_by)]
@@ -396,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, schema=True):
         p.add_argument("--config", help="INI config file; flags override its keys")
-        p.add_argument("--schema", help="aspect schema file")
+        if schema:
+            p.add_argument("--schema", help="aspect schema file")
         p.add_argument("--out", help="output file or directory")
 
     p_order = sub.add_parser("order", help="dump the distance order of a schema")
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_disc = sub.add_parser("discretize", help="grade a raw signal table")
-    common(p_disc)
+    common(p_disc, schema=False)
     p_disc.add_argument("--signals", help="docid/score table")
     p_disc.add_argument("--mode", choices=["quantile", "threshold"])
     p_disc.add_argument("--fractions", help="per-grade shares, best grade first")

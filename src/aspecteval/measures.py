@@ -411,6 +411,16 @@ def _scores(gains: np.ndarray, rows: np.ndarray, cfg: MeasureConfig) -> np.ndarr
     return np.divide(acc, relevant, out=np.zeros_like(acc), where=relevant != 0)
 
 
+def runs_by_tag(runs: Iterable) -> dict[str, object]:
+    """The runs keyed by run tag; a tag given twice is an error."""
+    by_tag = {}
+    for rf in runs:
+        if rf.run_tag in by_tag:
+            raise ConfigError(f"duplicate run tag {rf.run_tag!r}")
+        by_tag[rf.run_tag] = rf
+    return by_tag
+
+
 def score_runs(
     runs: Sequence,
     gt: GroundTruth,
@@ -432,11 +442,16 @@ def score_runs(
     ``weight_policy`` for nDCG and always binary weights for AP.  Runs that
     skip a topic score 0 there.
     """
-    by_tag: dict[str, object] = {}
-    for rf in runs:
-        if rf.run_tag in by_tag:
-            raise ConfigError(f"duplicate run tag {rf.run_tag!r}")
-        by_tag[rf.run_tag] = rf
+    # The measure options are checked before the first order is built; the
+    # weight policy is checked against each order's class count.
+    cfgs = [
+        MeasureConfig(kind, depth, log_base, aspect_gains, aspect_relevant) for kind in kinds
+    ]
+    tables = [[_aspect_table(a, cfg) for a in schema.aspects] for cfg in cfgs]
+    if mm_variant not in (CANONICAL, TABLE):
+        raise ConfigError(f"unknown harmonic-mean variant {mm_variant!r}")
+    p = _resolve_importance(schema, importance)
+    by_tag = runs_by_tag(runs)
     tags = tuple(sorted(by_tag))
     topics = gt.topics()
     if not topics:
@@ -444,15 +459,11 @@ def score_runs(
 
     space = build_tuple_space(schema)
     orders = {m: build_order(space, schema, m) for m in metrics}
-    p = _resolve_importance(schema, importance)
-    if mm_variant not in (CANONICAL, TABLE):
-        raise ConfigError(f"unknown harmonic-mean variant {mm_variant!r}")
     setups = []
-    for kind in kinds:
-        cfg = MeasureConfig(kind, depth, log_base, aspect_gains, aspect_relevant)
-        policy = weight_policy if kind == NDCG else "binary"
+    for cfg, cfg_tables in zip(cfgs, tables):
+        policy = weight_policy if cfg.kind == NDCG else "binary"
         weights = [assign_weights(orders[m], policy) for m in metrics]
-        setups.append((cfg, weights, [_aspect_table(a, cfg) for a in schema.aspects]))
+        setups.append((cfg, weights, cfg_tables))
     n = len(metrics)
     # values[k, c, i, j]: kind kinds[k], column c (the metrics, then CAM and
     # MM), run tags[i], topic topics[j]

@@ -147,16 +147,11 @@ def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> b
     return bool(((grid <= order.grid) | (order.grid < 0)).all())
 
 
-_DISTINCT = "distinct"
-_BINARY = "binary"
-
-
 @dataclass(frozen=True)
 class WeightAssignment:
     """Non-negative integer weight per class of ``order``, non-increasing
     with distance from the best tuple; a tuple weighs what its class does."""
 
-    policy: str
     order: DistanceOrder
     per_class: tuple[int, ...]
 
@@ -168,18 +163,18 @@ class WeightAssignment:
         return set(self.per_class) <= {0, 1}
 
 
-def _class_weights(policy: str | Sequence[int], n_classes: int) -> tuple[str, list[int]]:
+def _class_weights(policy: str | Sequence[int], n_classes: int) -> list[int]:
     if isinstance(policy, str):
         name = policy.lower()
-        if name == _DISTINCT:
-            return _DISTINCT, [n_classes - 1 - i for i in range(n_classes)]
-        if name == _BINARY:
+        if name == "distinct":
+            return [n_classes - 1 - i for i in range(n_classes)]
+        if name == "binary":
             if n_classes == 1:
                 # A single class contains the all-worst tuple, which must
                 # always weigh zero.
-                return _BINARY, [0]
+                return [0]
             cut = -(-n_classes // 2)  # ceil(n/2)
-            return _BINARY, [1 if i < cut else 0 for i in range(n_classes)]
+            return [1 if i < cut else 0 for i in range(n_classes)]
         raise PolicyViolation(f"unknown weight policy {policy!r}")
     explicit = list(policy)
     if len(explicit) != n_classes:
@@ -192,7 +187,7 @@ def _class_weights(policy: str | Sequence[int], n_classes: int) -> tuple[str, li
     for hi, lo in zip(explicit, explicit[1:]):
         if lo > hi:
             raise PolicyViolation("explicit weights must not increase with distance")
-    return "explicit", explicit
+    return explicit
 
 
 def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightAssignment:
@@ -202,8 +197,7 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
     (1 for the top half of the classes, 0 below), or an explicit
     non-increasing list of non-negative integers, one per class.
     """
-    name, per_class = _class_weights(policy, order.n_classes)
-    return WeightAssignment(name, order, tuple(per_class))
+    return WeightAssignment(order, tuple(_class_weights(policy, order.n_classes)))
 
 
 def format_order_dump(order: DistanceOrder) -> str:

@@ -244,14 +244,6 @@ def parse_schema(text: str) -> AspectSchema:
     return AspectSchema(aspects, tuple(rules))
 
 
-def satisfies_rules(t: LabelTuple, schema: AspectSchema) -> bool:
-    """True iff ``t`` violates none of the schema's coupling rules."""
-    return all(
-        t[r.trigger_aspect] != r.trigger_label or t[r.forced_aspect] == r.forced_label
-        for r in schema.rules
-    )
-
-
 def apply_rules(t: LabelTuple, schema: AspectSchema) -> tuple[LabelTuple, int]:
     """Force ``t`` into rule compliance, returning (tuple, corrections made).
 
@@ -277,13 +269,6 @@ def apply_rules(t: LabelTuple, schema: AspectSchema) -> tuple[LabelTuple, int]:
         if not changed:
             return tuple(current), corrections
     raise SchemaError("coupling rules do not reach a fixpoint")
-
-
-def pareto_dominates(a: LabelTuple, b: LabelTuple, schema: AspectSchema) -> bool:
-    """True iff ``b`` is at least as good as ``a`` on every aspect."""
-    schema.check_tuple(a)
-    schema.check_tuple(b)
-    return all(bb >= aa for aa, bb in zip(a, b))
 
 
 def on_grid(t: LabelTuple, shape: tuple[int, ...]) -> bool:

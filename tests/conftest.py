@@ -10,8 +10,8 @@ from aspecteval import (
     RankedList,
     RunFile,
     SchemaError,
+    build_tuple_space,
     parse_schema,
-    satisfies_rules,
 )
 
 REFERENCE_SCHEMA = """\
@@ -50,9 +50,10 @@ def ground_truth_from(rows, schema):
     """Build a GroundTruth from (topic, doc, tuple) rows, validating each tuple
     against the schema and its coupling rules."""
     entries = {}
+    space = build_tuple_space(schema)
     for topic, doc, lt in rows:
         schema.check_tuple(lt)
-        if not satisfies_rules(lt, schema):
+        if lt not in space:
             raise SchemaError(
                 f"judgment {schema.format_tuple(lt)} for {topic}/{doc} "
                 "violates a coupling rule"

@@ -26,7 +26,7 @@ from aspecteval import (
     check_extends_partial_order,
     discretize_quantile,
     discretize_threshold,
-    discriminative_power,
+    discriminative_powers,
     kendall_tau,
     mm_score,
     ndcg,
@@ -473,7 +473,7 @@ def test_ac7_bootstrap_null_calibration():
             for topic, score in zip(topics, row)
         }
         m = ScoreMatrix.build("NULL", cells)
-        report = discriminative_power(m, b_samples=10_000, alpha=0.01, seed=trial)
+        report = discriminative_powers([m], b_samples=10_000, alpha=0.01, seed=trial)[0]
         pairs += report.pairs_total
         significant += report.pairs_significant
     elapsed = time.monotonic() - started
@@ -493,8 +493,8 @@ def test_ac7_bootstrap_null_calibration():
             for t in range(12)
         },
     )
-    one = discriminative_power(small, b_samples=2000, alpha=0.01, seed=99)
-    two = discriminative_power(small, b_samples=2000, alpha=0.01, seed=99)
+    one = discriminative_powers([small], b_samples=2000, alpha=0.01, seed=99)[0]
+    two = discriminative_powers([small], b_samples=2000, alpha=0.01, seed=99)[0]
     if render_dp(one, {"seed": 99}).encode() != render_dp(two, {"seed": 99}).encode():
         failures.append("identical seeds produced different DP reports")
     conclude("AC7 null calibration 0.01+-0.01 over >=1000 pairs (<2 min)", failures)

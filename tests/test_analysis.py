@@ -16,7 +16,6 @@ from aspecteval import (
     DegenerateInput,
     MatrixMismatch,
     ScoreMatrix,
-    discriminative_power,
     discriminative_powers,
     kendall_tau,
     measure_correlation,
@@ -217,7 +216,7 @@ def dp_matrix():
 
 def test_dp_matches_naive_bootstrap_with_shared_draws(dp_matrix):
     b, seed = 400, 7
-    report = discriminative_power(dp_matrix, b_samples=b, alpha=0.05, seed=seed)
+    report = discriminative_powers([dp_matrix], b_samples=b, alpha=0.05, seed=seed)[0]
     assert report.pairs_total == 3
     for pair in report.pairs:
         d = [
@@ -402,7 +401,7 @@ def test_pooled_dp_keeps_zero_spread_pairs(pool_mode):
 
 
 def test_dp_t_statistic_is_the_paired_t(dp_matrix):
-    report = discriminative_power(dp_matrix, b_samples=10, alpha=0.05, seed=0)
+    report = discriminative_powers([dp_matrix], b_samples=10, alpha=0.05, seed=0)[0]
     for pair in report.pairs:
         a = [dp_matrix.score(pair.run_a, t) for t in dp_matrix.topic_ids]
         b = [dp_matrix.score(pair.run_b, t) for t in dp_matrix.topic_ids]
@@ -410,8 +409,8 @@ def test_dp_t_statistic_is_the_paired_t(dp_matrix):
 
 
 def test_dp_is_deterministic_and_order_invariant(dp_matrix):
-    r1 = discriminative_power(dp_matrix, b_samples=300, alpha=0.05, seed=11)
-    r2 = discriminative_power(dp_matrix, b_samples=300, alpha=0.05, seed=11)
+    r1 = discriminative_powers([dp_matrix], b_samples=300, alpha=0.05, seed=11)[0]
+    r2 = discriminative_powers([dp_matrix], b_samples=300, alpha=0.05, seed=11)[0]
     assert r1 == r2
     # rebuilding the matrix from shuffled cells changes nothing
     cells = {
@@ -419,7 +418,7 @@ def test_dp_is_deterministic_and_order_invariant(dp_matrix):
         for t in reversed(dp_matrix.topic_ids)
         for r in reversed(dp_matrix.run_tags)
     }
-    r3 = discriminative_power(matrix("X", cells), b_samples=300, alpha=0.05, seed=11)
+    r3 = discriminative_powers([matrix("X", cells)], b_samples=300, alpha=0.05, seed=11)[0]
     assert r3 == r1
 
 
@@ -428,7 +427,7 @@ def test_dp_identical_runs_are_never_discriminated():
     for tag in ("a", "b"):
         for t in ("1", "2", "3"):
             cells[(tag, t)] = {"1": 0.3, "2": 0.7, "3": 0.5}[t]
-    report = discriminative_power(matrix("X", cells), b_samples=50, alpha=0.5, seed=1)
+    report = discriminative_powers([matrix("X", cells)], b_samples=50, alpha=0.5, seed=1)[0]
     (pair,) = report.pairs
     assert pair.t == 0.0
     assert pair.asl == 1.0
@@ -440,7 +439,7 @@ def test_dp_constant_shift_is_always_discriminated():
     # dyadic scores keep the pairwise differences exactly constant
     cells = {("a", t): s for t, s in (("1", 0.25), ("2", 0.5), ("3", 0.375))}
     cells.update({("b", t): cells[("a", t)] + 0.25 for t in ("1", "2", "3")})
-    report = discriminative_power(matrix("X", cells), b_samples=50, alpha=0.001, seed=1)
+    report = discriminative_powers([matrix("X", cells)], b_samples=50, alpha=0.001, seed=1)[0]
     (pair,) = report.pairs
     assert math.isinf(pair.t) and pair.t < 0  # run a scores below run b
     assert pair.asl == 0.0
@@ -449,8 +448,8 @@ def test_dp_constant_shift_is_always_discriminated():
 
 
 def test_dp_alpha_only_moves_the_threshold(dp_matrix):
-    strict = discriminative_power(dp_matrix, b_samples=500, alpha=0.01, seed=3)
-    loose = discriminative_power(dp_matrix, b_samples=500, alpha=0.20, seed=3)
+    strict = discriminative_powers([dp_matrix], b_samples=500, alpha=0.01, seed=3)[0]
+    loose = discriminative_powers([dp_matrix], b_samples=500, alpha=0.20, seed=3)[0]
     for p_strict, p_loose in zip(strict.pairs, loose.pairs):
         assert p_strict.asl == p_loose.asl
         if p_strict.significant:
@@ -460,16 +459,16 @@ def test_dp_alpha_only_moves_the_threshold(dp_matrix):
 def test_dp_validation(dp_matrix):
     single_run = grid("X", {"1": [0.1], "2": [0.2]})
     with pytest.raises(ConfigError, match="two runs"):
-        discriminative_power(single_run, 10, 0.05, 0)
+        discriminative_powers([single_run], 10, 0.05, 0)
     single_topic = grid("X", {"1": [0.1, 0.2]})
     with pytest.raises(ConfigError, match="two topics"):
-        discriminative_power(single_topic, 10, 0.05, 0)
+        discriminative_powers([single_topic], 10, 0.05, 0)
     with pytest.raises(ConfigError, match="at least 1"):
-        discriminative_power(dp_matrix, 0, 0.05, 0)
+        discriminative_powers([dp_matrix], 0, 0.05, 0)
     with pytest.raises(ConfigError, match="alpha"):
-        discriminative_power(dp_matrix, 10, 1.0, 0)
+        discriminative_powers([dp_matrix], 10, 1.0, 0)
     with pytest.raises(ConfigError, match="seed"):
-        discriminative_power(dp_matrix, 10, 0.05, -1)
+        discriminative_powers([dp_matrix], 10, 0.05, -1)
 
 
 # ---------------------------------------------------------------------------

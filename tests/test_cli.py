@@ -247,6 +247,30 @@ def test_evaluate_rejects_bad_depth(env, capsys):
     assert "depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ini,message",
+    [
+        ("[measure]\nkind = bogus\n", "unknown measure kind 'bogus'"),
+        ("[mm]\nvariant = bogus\n", "unknown harmonic-mean variant 'bogus'"),
+        ("[measure]\ndepth = 0\n", "depth must be at least 1"),
+        ("[importance]\nrelevance = 2\ncorrectness = -1\n", "must lie in [0, 1]"),
+        ("[gains.relevance]\nnr = 0\n", "no gain configured for label 'mr'"),
+    ],
+    ids=["kind", "mm-variant", "depth", "importance", "gains"],
+)
+def test_evaluate_rejects_bad_config_options_before_building_an_order(
+    env, capsys, monkeypatch, ini, message
+):
+    def no_order(*args):
+        raise AssertionError("an order was built before the options were checked")
+
+    monkeypatch.setattr("aspecteval.measures.build_order", no_order)
+    (env / "eval.ini").write_text(ini)
+    assert evaluate(env, "--config", str(env / "eval.ini")) == 2
+    assert message in capsys.readouterr().err
+    assert not (env / "out").exists()
+
+
 def test_evaluate_honor_rank_changes_tie_handling(env):
     # equal scores: doc order falls back to doc id unless the rank column rules
     (env / "runs" / "runA.run").write_text(
@@ -531,6 +555,34 @@ def test_analyze_honor_rank_changes_what_the_audits_see(env, capsys):
     assert rows("by_rank") == ["1\t1\t50.00", "1-1\t1\t50.00"]
 
 
+def test_analyze_audits_reject_duplicate_run_tags(env, capsys):
+    assert evaluate(env) == 0
+    (env / "runs" / "runA-again.run").write_text(run_text("runA", {"1": ["d1"]}))
+    out = env / "reports"
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs")]
+    assert analyze(env, out, *audit) == 2
+    assert "duplicate run tag 'runA'" in capsys.readouterr().err
+    assert not out.exists()
+    # evaluate rejects the same run set with the same message
+    assert evaluate(env) == 2
+    assert "duplicate run tag 'runA'" in capsys.readouterr().err
+
+
+def test_analyze_warns_like_evaluate(env, capsys):
+    (env / "runs" / "drifter.run").write_text("# no entries here\n")
+    (env / "qrels.txt").write_text(QRELS + "2 0 dz nr c\n")
+    assert evaluate(env) == 0
+    evaluate_err = capsys.readouterr().err
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs")]
+    assert analyze(env, env / "reports", *audit) == 0
+    analyze_err = capsys.readouterr().err
+    assert "corrected 1 coupling-rule violations" in analyze_err
+    assert "scoring run 'drifter' as 0" in analyze_err
+    assert analyze_err == evaluate_err
+
+
 def test_analyze_audit_inputs_come_as_a_trio(env, capsys):
     assert evaluate(env) == 0
     assert analyze(env, env / "reports", "--runs", str(env / "runs")) == 2
@@ -567,6 +619,16 @@ def test_discretize_quantile_stdout(env, capsys):
     assert grades["d00"] == "2"
     assert grades["d01"] == grades["d02"] == "1"
     assert all(grades[f"d{i:02d}"] == "0" for i in range(3, 20))
+
+
+def test_discretize_takes_no_schema(env, capsys):
+    signals = env / "signals.txt"
+    signals.write_text("d1 1\nd2 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["discretize", "--signals", str(signals), "--fractions", "0.5,0.5",
+              "--schema", str(env / "missing.txt")])
+    assert exc.value.code == 2
+    assert "--schema" in capsys.readouterr().err
 
 
 def test_discretize_threshold_mode(env, capsys):

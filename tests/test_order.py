@@ -216,6 +216,20 @@ def test_order_extends_pareto_on_random_schemas():
     assert outcomes == {True, False}
 
 
+def test_equal_embed_values_tie_and_dominate_each_other():
+    # grades x and y share the value 0, so (0, b) and (1, b) are one point
+    s = parse_schema("aspect a\nlabel x 0\nlabel y 0\naspect b\nlabel p 0\nlabel q 1\n")
+    for metric in Metric:
+        order = build_order(build_tuple_space(s), s, metric)
+        assert order.class_of((0, 1)) == order.class_of((1, 1)) == 0
+        assert order.class_of((0, 0)) == order.class_of((1, 0)) == 1
+        assert check_extends_partial_order(order, s)
+        # splitting a tie ranks a tuple below one it dominates
+        split = with_tuple_moved(order, (0, 1), 1)
+        assert not check_extends_partial_order(split, s)
+        assert not ref_extends_dominance(split, s)
+
+
 def test_check_detects_a_violating_order(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
     # classes: (3,2) (2,2) (3,1) (2,1) (1,2) (1,1) (3,0) (2,0) (1,0) (0,0)

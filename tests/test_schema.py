@@ -5,15 +5,12 @@ from aspecteval import (
     Aspect,
     AspectSchema,
     CouplingRule,
-    DimensionMismatch,
     GroundTruth,
     MissingBestTuple,
     SchemaError,
     apply_rules,
     build_tuple_space,
-    pareto_dominates,
     parse_schema,
-    satisfies_rules,
 )
 from conftest import REFERENCE_SCHEMA, ground_truth_from
 
@@ -74,17 +71,6 @@ def test_six_fractional_digits_are_accepted():
     assert s.scale == 1_000_000
 
 
-def test_pareto_dominates(schema):
-    assert pareto_dominates((1, 2), (3, 2), schema)
-    assert pareto_dominates((1, 1), (1, 1), schema)
-    assert not pareto_dominates((3, 2), (1, 2), schema)
-    # incomparable pair: neither dominates
-    assert not pareto_dominates((1, 2), (3, 1), schema)
-    assert not pareto_dominates((3, 1), (1, 2), schema)
-    with pytest.raises(DimensionMismatch):
-        pareto_dominates((1,), (3, 2), schema)
-
-
 def test_tuple_space_respects_coupling(schema):
     space = build_tuple_space(schema)
     # 4 * 3 = 12 combinations minus (nr, pc) and (nr, c)
@@ -118,8 +104,9 @@ def test_apply_rules_fixpoint(schema):
     assert apply_rules((0, 2), schema) == ((0, 0), 1)
     assert apply_rules((0, 0), schema) == ((0, 0), 0)
     assert apply_rules((3, 1), schema) == ((3, 1), 0)
-    assert satisfies_rules((0, 0), schema)
-    assert not satisfies_rules((0, 2), schema)
+    space = build_tuple_space(schema)
+    assert (0, 0) in space
+    assert (0, 2) not in space
 
 
 def test_apply_rules_chains_until_stable():
