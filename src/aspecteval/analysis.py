@@ -74,6 +74,8 @@ def measure_correlation(m1: ScoreMatrix, m2: ScoreMatrix) -> CorrelationReport:
         raise MatrixMismatch(
             f"matrices {m1.measure!r} and {m2.measure!r} cover different runs or topics"
         )
+    if len(m1.run_tags) < 2:
+        raise ConfigError("measure correlation needs at least two runs")
     per_topic: dict[str, float] = {}
     excluded = 0
     for topic, x, y in zip(m1.topic_ids, m1.values.T, m2.values.T):

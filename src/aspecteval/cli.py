@@ -4,10 +4,10 @@ Subcommands: ``order`` (dump a distance order), ``evaluate`` (score runs
 against multi-aspect qrels), ``analyze`` (meta-evaluation reports over score
 tables), ``discretize`` (turn a raw signal table into a grade column).
 
-Options come from flags, which override keys in an INI-style config file
-(``--config``), which override built-in defaults.  All outputs are
-deterministic: rerunning a command with the same inputs, config, and seed
-writes byte-identical files.
+Every option is one :class:`Option` row below.  A flag overrides the key in
+the INI-style config file, which overrides the row's default.
+All outputs are deterministic: rerunning a command with the same inputs,
+config, and seed writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import configparser
 import hashlib
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .analysis import (
     discriminative_powers,
@@ -47,48 +48,151 @@ from .reports import (
     render_scores,
     render_zero_aspect,
 )
-from .schema import GroundTruth, build_tuple_space, parse_schema
+from .schema import AspectSchema, GroundTruth, build_tuple_space, parse_schema
 
-DEFAULT_BANDS = "1-25,26-50,51-75,76-100"
+
+class Option(NamedTuple):
+    """One option: a flag, a ``section.key`` config key, or both.  A
+    ``many`` option takes one or more values (a config value splits on
+    whitespace); a ``switch`` takes none and reads ``"true"`` when given."""
+
+    flag: str | None
+    key: str | None
+    help: str = ""
+    default: str | None = None
+    choices: tuple[str, ...] | None = None
+    many: bool = False
+    switch: bool = False
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.switch:
+            parser.add_argument(self.flag, action="store_const", const="true", help=self.help)
+        else:
+            text = self.help if self.default is None else f"{self.help} (default {self.default})"
+            nargs = "+" if self.many else None
+            parser.add_argument(self.flag, nargs=nargs, choices=self.choices, help=text)
+
+
+METRICS = tuple(m.value for m in Metric)
+
+CONFIG = Option("--config", None, "INI config file; flags override its keys")
+SCHEMA = Option("--schema", "files.schema", "aspect schema file")
+QRELS = Option("--qrels", "files.qrels", "qrels file, or aspect=path pairs", many=True)
+RUNS = Option("--runs", "files.runs", "run files or directories", many=True)
+SCORES = Option("--scores", "files.scores", "score TSVs from 'evaluate'", many=True)
+SIGNALS = Option("--signals", "files.signals", "docid/score table")
+OUT_FILE = Option("--out", None, "output file (default stdout)")
+OUT_DIR = Option("--out", "output.dir", "output directory", ".")
+ORDER_METRIC = Option("--metric", "order.metric", "distance metric", "euclidean", METRICS)
+EVAL_METRIC = Option("--metric", "order.metric", "distance metric or all", "all", (*METRICS, "all"))
+WEIGHTS = Option("--weights", "order.weights", "nDCG weights", "distinct", ("distinct", "binary"))
+KIND = Option("--measure", "measure.kind", "measure kind", "both", (NDCG, AP, "both"))
+DEPTH = Option("--depth", "measure.depth", "evaluation depth (integer or 'full')")
+LOG_BASE = Option(None, "measure.log_base", default="2")
+MM_VARIANT = Option("--mm-variant", "mm.variant", "MM variant", CANONICAL, (CANONICAL, TABLE))
+HONOR_RANK = Option("--honor-rank", None, "order runs by their rank column, not score", switch=True)
+SEED = Option("--seed", "analysis.seed", "RNG seed for the bootstrap (required)")
+BOOTSTRAP = Option("--bootstrap", "analysis.bootstrap", "bootstrap sample count", "10000")
+ALPHA = Option("--alpha", "analysis.alpha", "significance level", "0.01")
+K = Option("--k", "analysis.k", "retrieval cutoff for the zero-aspect audit", "5")
+BANDS = Option("--bands", "analysis.bands", "rank bands", "1-25,26-50,51-75,76-100")
+BEST_BY = Option("--best-by", "analysis.best_by", "table label picking each topic's best run")
+MODE = Option("--mode", "discretize.mode", "grading mode", "quantile", ("quantile", "threshold"))
+FRACTIONS = Option("--fractions", "discretize.fractions", "per-grade shares, best grade first")
+CUTS = Option("--cuts", "discretize.cuts", "ascending thresholds")
+
+# Sections named ``<prefix>.<aspect>``: their keys and values are schema
+# names, checked once a command loads its schema.
+ASPECT_SECTIONS = ("gains", "relevant", "merge")
+# The keys of paths: no path enters the config hash (see Settings.get).
+PATH_KEYS = ("files.", "output.")
+
+
+def _unknown(what: str, name: str, known, where: str = "") -> ConfigError:
+    """The error for an unknown name, with the closest known one as a hint."""
+    import difflib  # only on this error path
+
+    close = difflib.get_close_matches(name, sorted(known), n=1)
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    return ConfigError(f"unknown {what} {name!r}{where}{hint}")
 
 
 class Settings:
     """Option resolution (flag, then config file, then default) with a hash
-    of everything actually used, recorded in output headers."""
+    of every option used, recorded in output headers."""
 
-    def __init__(self, config_path: str | None):
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
         self.parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        self.parser.optionxform = str  # aspect and label names keep their case
         self.used: dict[str, str] = {}
-        if config_path:
-            if not Path(config_path).is_file():
-                raise ConfigError(f"config file not found: {config_path}")
-            self.parser.read(config_path)
+        if args.config:
+            if not Path(args.config).is_file():
+                raise ConfigError(f"config file not found: {args.config}")
+            self.parser.read(args.config)
+            self._check_keys()
 
-    def get(self, section: str, key: str, override=None, default=None, record=True):
-        if override is not None:
-            value = override
-        elif self.parser.has_option(section, key):
-            value = self.parser.get(section, key)
-        else:
-            value = default
-        if record and value is not None:
-            self.used[f"{section}.{key}"] = str(value)
+    def _check_keys(self) -> None:
+        """Reject every section and key that no option declares."""
+        sections = {key.partition(".")[0] for key in KNOWN_KEYS} | {"importance"}
+        if self.parser.defaults():  # its keys would reach every section
+            raise _unknown("config section", self.parser.default_section, sections)
+        for section in self.parser.sections():
+            prefix, _, aspect = section.partition(".")
+            if section == "importance" or prefix in ("gains", "merge") and aspect:
+                continue  # the keys are schema names: see check_schema
+            if prefix == "relevant" and aspect:
+                known = {f"{section}.labels"}
+            elif section in sections:
+                known = KNOWN_KEYS
+            else:
+                shapes = {f"{p}.{aspect or '<aspect>'}" for p in ASPECT_SECTIONS}
+                raise _unknown("config section", section, sections | shapes)
+            for key in self.parser[section]:
+                if f"{section}.{key}" not in known:
+                    raise _unknown("config key", f"{section}.{key}", known)
+
+    def load_schema(self, path: str) -> AspectSchema:
+        """The schema at ``path``.  The config may name only its aspects (in
+        ``[importance]`` and ``[<prefix>.<aspect>]``) and their labels (the
+        keys of ``[gains.<aspect>]``, the values of ``[merge.<aspect>]``)."""
+        schema = parse_schema(_read(path))
+        labels = {a.name: a.labels for a in schema.aspects}
+        for section in self.parser.sections():
+            prefix, _, aspect = section.partition(".")
+            where = f" in [{section}]"
+            if section == "importance":
+                for name in self.parser[section]:
+                    if name not in labels:
+                        raise _unknown("aspect", name, labels, where)
+            elif prefix in ASPECT_SECTIONS:
+                if aspect not in labels:
+                    raise _unknown("aspect", aspect, labels, where)
+                table = self.parser[section]
+                names = {"gains": table.keys(), "merge": table.values()}.get(prefix, ())
+                for name in names:
+                    if name not in labels[aspect]:
+                        raise _unknown("label", name, labels[aspect], where)
+        return schema
+
+    def get(self, opt: Option, default: str | None = None):
+        """The value of ``opt`` from its flag, else its config key, else
+        ``default``, else the option's own default."""
+        value = opt.flag and getattr(self.args, opt.flag.lstrip("-").replace("-", "_"), None)
+        if value is None and opt.key:
+            value = self.parser.get(*opt.key.split("."), fallback=None)
+            if opt.many and value is not None:
+                value = value.split()
+        if value is None:
+            value = opt.default if default is None else default
+        if value is not None and (opt.switch or opt.key and not opt.key.startswith(PATH_KEYS)):
+            self.used[opt.key or opt.flag] = str(value)
         return value
 
     def section(self, name: str) -> dict[str, str]:
-        if not self.parser.has_section(name):
-            return {}
-        items = dict(self.parser.items(name))
-        for k, v in items.items():
-            self.used[f"{name}.{k}"] = v
+        items = dict(self.parser.items(name)) if self.parser.has_section(name) else {}
+        self.used.update((f"{name}.{k}", v) for k, v in items.items())
         return items
-
-    def flag(self, name: str, given: bool) -> bool:
-        """A switch with no config key, recorded only when given, so outputs
-        made without it keep their hash."""
-        if given:
-            self.used[name] = "true"
-        return given
 
     def hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.used.items()))
@@ -108,24 +212,12 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _parse_int(value, what: str) -> int:
+def _parse_number(value, what: str, kind=float):
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _parse_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-
-
-def _parse_depth(value) -> int | None:
-    if value is None or str(value).lower() == "full":
-        return None
-    return _parse_int(value, "depth")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
 
 
 def _parse_number_list(value: str, what: str) -> list[float]:
@@ -141,7 +233,7 @@ def _parse_bands(value: str) -> list[tuple[int, int]]:
         lo, sep, hi = part.partition("-")
         if not sep:
             raise ConfigError(f"bad band {part!r}, expected lo-hi")
-        bands.append((_parse_int(lo, "band start"), _parse_int(hi, "band end")))
+        bands.append((_parse_number(lo, "band start", int), _parse_number(hi, "band end", int)))
     if not bands:
         raise ConfigError("no rank bands given")
     return bands
@@ -149,48 +241,16 @@ def _parse_bands(value: str) -> list[tuple[int, int]]:
 
 def _aspect_sections(st: Settings, schema, prefix: str) -> dict[str, dict[str, str]]:
     """The non-empty ``[<prefix>.<aspect>]`` sections, by aspect in schema order."""
-    sections = {}
-    for aspect in schema.names:
-        table = st.section(f"{prefix}.{aspect}")
-        if table:
-            sections[aspect] = table
-    return sections
+    tables = {aspect: st.section(f"{prefix}.{aspect}") for aspect in schema.names}
+    return {aspect: table for aspect, table in tables.items() if table}
 
 
-def _aspect_gains(st: Settings, schema):
-    gains = {
-        aspect: {
-            label: _parse_float(v, f"gain for {aspect}/{label}")
-            for label, v in table.items()
-        }
-        for aspect, table in _aspect_sections(st, schema, "gains").items()
-    }
-    return gains or None
+def _floats(table: dict[str, str], what: str) -> dict[str, float]:
+    return {name: _parse_number(v, f"{what}{name}") for name, v in table.items()}
 
 
-def _aspect_relevant(st: Settings, schema):
-    relevant = {
-        aspect: table["labels"].split()
-        for aspect, table in _aspect_sections(st, schema, "relevant").items()
-        if "labels" in table
-    }
-    return relevant or None
-
-
-def _importance(st: Settings, schema):
-    table = st.section("importance")
-    if not table:
-        return None
-    return {
-        name: _parse_float(v, f"importance of {name}") for name, v in table.items()
-    }
-
-
-def _load_ground_truth(st: Settings, qrels_args, schema) -> GroundTruth:
+def _load_ground_truth(st: Settings, qrels: list[str], schema) -> GroundTruth:
     """The qrels, with a warning on stderr if coupling rules corrected any."""
-    qrels = qrels_args or str(
-        _require(st.get("files", "qrels"), "qrels path")
-    ).split()
     merge = _aspect_sections(st, schema, "merge") or None
     if any("=" in q for q in qrels):
         per_aspect = {}
@@ -251,31 +311,31 @@ def _write_out(text: str, out: str | None):
         path.write_text(text)
 
 
-def cmd_order(args) -> int:
-    st = Settings(args.config)
-    schema = parse_schema(_read(_require(st.get("files", "schema", args.schema), "schema path")))
-    metric = Metric.parse(st.get("order", "metric", args.metric, "euclidean"))
+def cmd_order(st: Settings) -> int:
+    """dump the distance order of a schema"""
+    schema = st.load_schema(_require(st.get(SCHEMA), "schema path"))
+    metric = Metric.parse(st.get(ORDER_METRIC))
     order = build_order(build_tuple_space(schema), schema, metric)
     meta = {"config": st.hash(), "metric": metric.value, "classes": order.n_classes}
-    _write_out(render_order_dump(format_order_dump(order), meta), args.out)
+    _write_out(render_order_dump(format_order_dump(order), meta), st.get(OUT_FILE))
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    st = Settings(args.config)
-    schema = parse_schema(_read(_require(st.get("files", "schema", args.schema), "schema path")))
-    gt = _load_ground_truth(st, args.qrels, schema)
-    run_paths = args.runs or str(_require(st.get("files", "runs"), "runs path")).split()
-    runs = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
+def cmd_evaluate(st: Settings) -> int:
+    """score runs against multi-aspect qrels"""
+    schema = st.load_schema(_require(st.get(SCHEMA), "schema path"))
+    gt = _load_ground_truth(st, _require(st.get(QRELS), "qrels path"), schema)
+    runs = _load_runs(_require(st.get(RUNS), "runs path"), bool(st.get(HONOR_RANK)))
 
-    metric_name = st.get("order", "metric", args.metric, "all")
+    metric_name = st.get(EVAL_METRIC)
     metrics = tuple(Metric) if metric_name.lower() == "all" else (Metric.parse(metric_name),)
-    kind = st.get("measure", "kind", args.measure, "both")
+    kind = st.get(KIND)
     kinds = (NDCG, AP) if kind == "both" else (kind,)
-    weight_policy = st.get("order", "weights", args.weights, "distinct")
-    depth = _parse_depth(st.get("measure", "depth", args.depth))
-    log_base = _parse_float(st.get("measure", "log_base", None, "2"), "log base")
-    mm_variant = st.get("mm", "variant", args.mm_variant, CANONICAL)
+    depth = st.get(DEPTH)
+    depth = None if depth is None or depth.lower() == "full" else _parse_number(depth, "depth", int)
+    log_base = _parse_number(st.get(LOG_BASE), "log base")
+    gains = _aspect_sections(st, schema, "gains")
+    relevant = _aspect_sections(st, schema, "relevant")  # each holds just `labels`
 
     matrices = score_runs(
         runs,
@@ -283,15 +343,15 @@ def cmd_evaluate(args) -> int:
         schema,
         kinds=kinds,
         metrics=metrics,
-        weight_policy=weight_policy,
-        importance=_importance(st, schema),
-        mm_variant=mm_variant,
+        weight_policy=st.get(WEIGHTS),
+        importance=_floats(st.section("importance"), "importance of ") or None,
+        mm_variant=st.get(MM_VARIANT),
         depth=depth,
         log_base=log_base,
-        aspect_gains=_aspect_gains(st, schema),
-        aspect_relevant=_aspect_relevant(st, schema),
+        aspect_gains={a: _floats(t, f"gain for {a}/") for a, t in gains.items()} or None,
+        aspect_relevant={a: t["labels"].split() for a, t in relevant.items()} or None,
     )
-    out_dir = Path(st.get("output", "dir", args.out, ".", record=False))
+    out_dir = Path(st.get(OUT_DIR))
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"config": st.hash()}
     for label in sorted(matrices):
@@ -299,28 +359,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    st = Settings(args.config)
-    score_paths = args.scores or str(
-        _require(st.get("files", "scores"), "scores path")
-    ).split()
-    matrices = [parse_scores(_read(p)) for p in score_paths]
+def cmd_analyze(st: Settings) -> int:
+    """meta-evaluation reports over score tables"""
+    matrices = [parse_scores(_read(p)) for p in _require(st.get(SCORES), "scores path")]
     labels = [m.measure for m in matrices]
     if len(set(labels)) != len(labels):
         raise ConfigError("score tables must carry distinct measure labels")
 
-    # The audit inputs are not recorded: the config hash never covered them.
-    audit_inputs = (
-        st.get("files", "schema", args.schema, record=False),
-        args.qrels or str(st.get("files", "qrels", record=False) or "").split(),
-        args.runs or str(st.get("files", "runs", record=False) or "").split(),
-    )
+    audit_inputs = (st.get(SCHEMA), st.get(QRELS), st.get(RUNS))
     if any(audit_inputs) and not all(audit_inputs):
-        raise ConfigError("ranking audits need --runs, --qrels, and --schema together")
+        flags = f"{RUNS.flag}, {QRELS.flag}, and {SCHEMA.flag}"
+        raise ConfigError(f"ranking audits need {flags} together")
 
-    seed = _parse_int(_require(st.get("analysis", "seed", args.seed), "seed"), "seed")
-    b_samples = _parse_int(st.get("analysis", "bootstrap", args.bootstrap, "10000"), "bootstrap count")
-    alpha = _parse_float(st.get("analysis", "alpha", args.alpha, "0.01"), "alpha")
+    seed = _parse_number(_require(st.get(SEED), "seed"), "seed", int)
+    b_samples = _parse_number(st.get(BOOTSTRAP), "bootstrap count", int)
+    alpha = _parse_number(st.get(ALPHA), "alpha")
     meta = {"config": st.hash()}
 
     # Every input is parsed and every audit run before the bootstrap, and
@@ -329,19 +382,17 @@ def cmd_analyze(args) -> int:
     audits = {}
     if all(audit_inputs):
         schema_path, qrels, run_paths = audit_inputs
-        schema = parse_schema(_read(schema_path))
+        schema = st.load_schema(schema_path)
         gt = _load_ground_truth(st, qrels, schema)
-        runs = _load_runs(run_paths, st.flag("--honor-rank", args.honor_rank))
-        best_by = st.get("analysis", "best_by", args.best_by, labels[0])
-        try:
-            chosen = matrices[labels.index(best_by)]
-        except ValueError:
+        runs = _load_runs(run_paths, bool(st.get(HONOR_RANK)))
+        best_by = st.get(BEST_BY, labels[0])
+        if best_by not in labels:
             raise ConfigError(
                 f"best-by measure {best_by!r} is not among the loaded tables {labels}"
-            ) from None
-        best = select_best_runs(chosen)
-        k = _parse_int(st.get("analysis", "k", args.k, "5"), "k")
-        bands = _parse_bands(st.get("analysis", "bands", args.bands, DEFAULT_BANDS))
+            )
+        best = select_best_runs(matrices[labels.index(best_by)])
+        k = _parse_number(st.get(K), "k", int)
+        bands = _parse_bands(st.get(BANDS))
         # Hashed after the audit settings and [merge.*] are read: unlike the
         # correlation and DP reports, the audits depend on them.
         audit_meta = {"config": st.hash(), "selected_by": best_by}
@@ -360,32 +411,45 @@ def cmd_analyze(args) -> int:
         outputs[f"dp_{report.measure}.tsv"] = render_dp(report, meta)
     outputs.update(audits)
 
-    out_dir = Path(st.get("output", "dir", args.out, ".", record=False))
+    out_dir = Path(st.get(OUT_DIR))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         (out_dir / name).write_text(text)
     return 0
 
 
-def cmd_discretize(args) -> int:
-    st = Settings(args.config)
-    signals = parse_signals(_read(_require(st.get("files", "signals", args.signals), "signals path")))
-    mode = st.get("discretize", "mode", args.mode, "quantile")
+def cmd_discretize(st: Settings) -> int:
+    """grade a raw signal table"""
+    signals = parse_signals(_read(_require(st.get(SIGNALS), "signals path")))
+    mode = st.get(MODE)
     if mode == "quantile":
-        fractions = _parse_number_list(
-            _require(st.get("discretize", "fractions", args.fractions), "fractions"),
-            "fractions",
-        )
+        fractions = _parse_number_list(_require(st.get(FRACTIONS), "fractions"), "fractions")
         grades = discretize_quantile(signals, fractions)
     elif mode == "threshold":
-        cuts = _parse_number_list(
-            _require(st.get("discretize", "cuts", args.cuts), "cuts"), "cuts"
-        )
+        cuts = _parse_number_list(_require(st.get(CUTS), "cuts"), "cuts")
         grades = discretize_threshold(signals, cuts)
     else:
         raise ConfigError(f"unknown discretize mode {mode!r}")
-    _write_out(render_grades(grades, {"config": st.hash(), "mode": mode}), args.out)
+    _write_out(render_grades(grades, {"config": st.hash(), "mode": mode}), st.get(OUT_FILE))
     return 0
+
+
+# Each subcommand's function and the options it takes; the function's
+# name after ``cmd_`` names the subcommand, its docstring is the help.
+COMMANDS = {
+    cmd_order: (CONFIG, SCHEMA, OUT_FILE, ORDER_METRIC),
+    cmd_evaluate: (
+        CONFIG, SCHEMA, OUT_DIR, QRELS, RUNS, EVAL_METRIC, WEIGHTS, KIND, DEPTH, LOG_BASE,
+        MM_VARIANT, HONOR_RANK,
+    ),
+    cmd_analyze: (
+        CONFIG, SCHEMA, OUT_DIR, SCORES, QRELS, RUNS, SEED, BOOTSTRAP, ALPHA, K, BANDS, BEST_BY,
+        HONOR_RANK,
+    ),
+    cmd_discretize: (CONFIG, OUT_FILE, SIGNALS, MODE, FRACTIONS, CUTS),
+}
+# Every config key any command reads; one config file may serve them all.
+KNOWN_KEYS = frozenset(o.key for options in COMMANDS.values() for o in options if o.key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,85 +458,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-aspect evaluation of ranked retrieval results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, schema=True):
-        p.add_argument("--config", help="INI config file; flags override its keys")
-        if schema:
-            p.add_argument("--schema", help="aspect schema file")
-        p.add_argument("--out", help="output file or directory")
-
-    p_order = sub.add_parser("order", help="dump the distance order of a schema")
-    common(p_order)
-    p_order.add_argument(
-        "--metric", choices=[m.value for m in Metric], help="distance metric"
-    )
-    p_order.set_defaults(func=cmd_order)
-
-    p_eval = sub.add_parser("evaluate", help="score runs against multi-aspect qrels")
-    common(p_eval)
-    p_eval.add_argument("--qrels", nargs="+", help="qrels file, or aspect=path pairs")
-    p_eval.add_argument("--runs", nargs="+", help="run files or directories")
-    p_eval.add_argument(
-        "--metric",
-        choices=[m.value for m in Metric] + ["all"],
-        help="distance metric for the order-based measures (default all)",
-    )
-    p_eval.add_argument(
-        "--weights", choices=["distinct", "binary"], help="weight policy for nDCG"
-    )
-    p_eval.add_argument(
-        "--measure", choices=[NDCG, AP, "both"], help="measure kind (default both)"
-    )
-    p_eval.add_argument("--depth", help="evaluation depth (integer or 'full')")
-    p_eval.add_argument(
-        "--mm-variant",
-        dest="mm_variant",
-        choices=[CANONICAL, TABLE],
-        help="harmonic-mean variant",
-    )
-    p_eval.add_argument(
-        "--honor-rank",
-        action="store_true",
-        help="order run entries by their rank column instead of by score",
-    )
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_an = sub.add_parser("analyze", help="meta-evaluation reports over score tables")
-    common(p_an)
-    p_an.add_argument("--scores", nargs="+", help="score TSVs from 'evaluate'")
-    p_an.add_argument("--qrels", nargs="+", help="qrels (for the ranking audits)")
-    p_an.add_argument("--runs", nargs="+", help="run files (for the ranking audits)")
-    p_an.add_argument("--seed", help="RNG seed for the bootstrap (required)")
-    p_an.add_argument("--bootstrap", help="bootstrap sample count (default 10000)")
-    p_an.add_argument("--alpha", help="significance level (default 0.01)")
-    p_an.add_argument("--k", help="retrieval cutoff for the zero-aspect audit")
-    p_an.add_argument("--bands", help="rank bands, e.g. 1-25,26-50")
-    p_an.add_argument(
-        "--best-by", dest="best_by", help="measure label that selects each topic's best run"
-    )
-    p_an.add_argument(
-        "--honor-rank", action="store_true", help="audit runs in their rank-column order"
-    )
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_disc = sub.add_parser("discretize", help="grade a raw signal table")
-    common(p_disc, schema=False)
-    p_disc.add_argument("--signals", help="docid/score table")
-    p_disc.add_argument("--mode", choices=["quantile", "threshold"])
-    p_disc.add_argument("--fractions", help="per-grade shares, best grade first")
-    p_disc.add_argument("--cuts", help="ascending thresholds")
-    p_disc.set_defaults(func=cmd_discretize)
+    for func, options in COMMANDS.items():
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=func.__doc__)
+        for opt in options:
+            if opt.flag:
+                opt.add_to(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.func(Settings(args))
+    except (EvalError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

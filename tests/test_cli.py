@@ -2,8 +2,11 @@
 temp directory, exit codes, config-file precedence, and byte-identical
 reruns."""
 
+import argparse
+import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 
 import aspecteval
 from aspecteval import ScoreMatrix
-from aspecteval.cli import main
+from aspecteval.cli import KNOWN_KEYS, build_parser, main
 from aspecteval.reports import parse_scores, render_scores
 from conftest import REFERENCE_SCHEMA
 
@@ -104,15 +107,91 @@ def test_cli_import_does_not_load_scipy():
 
 def test_cli_import_does_not_load_the_process_pool():
     """The fork pool's modules load only when a bootstrap is large enough
-    to use it, so they cost no command its start-up time."""
+    to use it, and difflib only for an unknown config name's hint, so they
+    cost no command its start-up time."""
     env = dict(os.environ, PYTHONPATH=str(Path(aspecteval.__file__).resolve().parents[1]))
     code = (
         "import aspecteval.cli, sys; "
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'difflib'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Every subcommand's flags, each with its choices and argument count, and
+# every config key.  A new option is a new knob: it changes these on purpose.
+METRICS = ("euclidean", "manhattan", "chebyshev")
+CLI_SURFACE = {
+    "order": {
+        "--config": (None, None),
+        "--schema": (None, None),
+        "--out": (None, None),
+        "--metric": (METRICS, None),
+    },
+    "evaluate": {
+        "--config": (None, None),
+        "--schema": (None, None),
+        "--out": (None, None),
+        "--qrels": (None, "+"),
+        "--runs": (None, "+"),
+        "--metric": (METRICS + ("all",), None),
+        "--weights": (("distinct", "binary"), None),
+        "--measure": (("ndcg", "ap", "both"), None),
+        "--depth": (None, None),
+        "--mm-variant": (("canonical", "table"), None),
+        "--honor-rank": (None, 0),
+    },
+    "analyze": {
+        "--config": (None, None),
+        "--schema": (None, None),
+        "--out": (None, None),
+        "--scores": (None, "+"),
+        "--qrels": (None, "+"),
+        "--runs": (None, "+"),
+        "--seed": (None, None),
+        "--bootstrap": (None, None),
+        "--alpha": (None, None),
+        "--k": (None, None),
+        "--bands": (None, None),
+        "--best-by": (None, None),
+        "--honor-rank": (None, 0),
+    },
+    "discretize": {
+        "--config": (None, None),
+        "--out": (None, None),
+        "--signals": (None, None),
+        "--mode": (("quantile", "threshold"), None),
+        "--fractions": (None, None),
+        "--cuts": (None, None),
+    },
+}
+CONFIG_KEYS = {
+    ("files", "schema"), ("files", "qrels"), ("files", "runs"), ("files", "scores"),
+    ("files", "signals"),
+    ("order", "metric"), ("order", "weights"),
+    ("measure", "kind"), ("measure", "depth"), ("measure", "log_base"),
+    ("mm", "variant"),
+    ("analysis", "seed"), ("analysis", "bootstrap"), ("analysis", "alpha"), ("analysis", "k"),
+    ("analysis", "bands"), ("analysis", "best_by"),
+    ("output", "dir"),
+    ("discretize", "mode"), ("discretize", "fractions"), ("discretize", "cuts"),
+}
+
+
+def test_cli_surface_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            flag: (tuple(a.choices) if a.choices else None, a.nargs)
+            for a in parser._actions
+            for flag in a.option_strings
+            if flag != "--help" and flag.startswith("--")
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert {tuple(key.split(".")) for key in KNOWN_KEYS} == CONFIG_KEYS
 
 
 def test_order_dump_to_stdout(env, capsys):
@@ -595,6 +674,160 @@ def test_analyze_audit_inputs_come_as_a_trio(env, capsys):
     ini.write_text(ini.read_text() + f"schema = {env / 'schema.txt'}\n")
     assert analyze(env, env / "reports", "--config", str(ini)) == 0
     assert (env / "reports" / "zero_aspect.tsv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# config files: known keys only, case kept, paths outside the hash
+
+
+@pytest.mark.parametrize(
+    "ini,message",
+    [
+        ("[mesure]\nkind = ap\n", "unknown config section 'mesure'; did you mean 'measure'?"),
+        ("[measure]\nknd = ap\n", "config key 'measure.knd'; did you mean 'measure.kind'?"),
+        ("[order]\nMetric = all\n", "key 'order.Metric'; did you mean 'order.metric'?"),
+        ("[gain.relevance]\nnr = 0\n", "section 'gain.relevance'; did you mean 'gains.relevance'?"),
+        ("[gains.relevence]\n", "'relevence' in [gains.relevence]; did you mean 'relevance'?"),
+        (
+            "[gains.relevance]\nnr = 0\nmr = 5\nfr = 10\nhrr = 15\n",
+            "unknown label 'hrr' in [gains.relevance]; did you mean 'hr'?",
+        ),
+        (
+            "[relevant.relevance]\nlables = fr\n",
+            "key 'relevant.relevance.lables'; did you mean 'relevant.relevance.labels'?",
+        ),
+        ("[importance]\nrelevence = 1\n", "aspect 'relevence' in [importance]; did you"),
+        ("[merge.correctness]\nbad = cc\n", "label 'cc' in [merge.correctness]; did you mean"),        ("[DEFAULT]\nkind = ap\n[measure]\n", "unknown config section 'DEFAULT'"),
+    ],
+    ids=[
+        "section", "key", "key-case", "prefix", "aspect", "label", "labels-key", "importance",
+        "merge", "default",
+    ],
+)
+def test_unknown_config_names_exit_2_with_a_hint(env, capsys, ini, message):
+    (env / "eval.ini").write_text(ini)
+    assert evaluate(env, "--config", str(env / "eval.ini")) == 2
+    assert message in capsys.readouterr().err
+    assert not (env / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "ini",
+    ["metric = euclidean\n", "[order]\nmetric = a\nmetric = b\n", "[measure]\ndepth = 5%\n"],
+    ids=["no-section", "duplicate-key", "bare-percent"],
+)
+def test_malformed_config_files_exit_2(env, capsys, ini):
+    (env / "eval.ini").write_text(ini)
+    assert evaluate(env, "--config", str(env / "eval.ini")) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (env / "out").exists()
+
+
+def test_analyze_checks_the_config_against_the_audit_schema(env, capsys):
+    assert evaluate(env) == 0
+    (env / "audit.ini").write_text("[merge.relevence]\nbad = nr\n")
+    audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+             "--runs", str(env / "runs"), "--config", str(env / "audit.ini")]
+    assert analyze(env, env / "reports", *audit) == 2
+    assert "unknown aspect 'relevence' in [merge.relevence]" in capsys.readouterr().err
+    assert not (env / "reports").exists()
+
+
+def test_one_config_file_serves_every_command(env):
+    (env / "all.ini").write_text(CONFIG + "[analysis]\nseed = 3\nbootstrap = 50\n"
+                                 "[discretize]\nmode = threshold\ncuts = 1\n")
+    assert evaluate(env, "--config", str(env / "all.ini")) == 0
+    scores = [str(env / "out" / "scores_CHEB-ndcg.tsv"), str(env / "out" / "scores_CAM-ap.tsv")]
+    args = ["--config", str(env / "all.ini"), "--out", str(env / "reports")]
+    assert main(["analyze", "--scores", *scores, *args]) == 0
+
+
+UPPER_SCHEMA = """\
+aspect Rel
+label NR 0
+label MR 1
+label HR 2
+aspect Cor
+label NC 0
+label C 1
+"""
+
+
+def test_config_keys_keep_their_case(tmp_path):
+    """Aspect and label names with capitals configure gains, importance,
+    relevant labels and merge aliases."""
+    (tmp_path / "schema.txt").write_text(UPPER_SCHEMA)
+    (tmp_path / "qrels.txt").write_text("# aspects: Rel Cor\n1 0 d1 HR C\n1 0 d2 BAD C\n")
+    (tmp_path / "run.txt").write_text("1 Q0 d2 1 2.0 r\n1 Q0 d1 2 1.0 r\n")
+    (tmp_path / "eval.ini").write_text(
+        "[gains.Rel]\nNR = 0\nMR = 1\nHR = 3\n"
+        "[importance]\nRel = 0.25\nCor = 0.75\n"
+        "[relevant.Rel]\nlabels = HR\n"
+        "[merge.Rel]\nBAD = MR\n"
+    )
+    out = tmp_path / "out"
+    assert main(["evaluate", "--schema", str(tmp_path / "schema.txt"),
+                 "--qrels", str(tmp_path / "qrels.txt"), "--runs", str(tmp_path / "run.txt"),
+                 "--config", str(tmp_path / "eval.ini"), "--out", str(out)]) == 0
+
+    def score(label):
+        rows = (out / f"scores_{label}.tsv").read_text().splitlines()
+        return next(float(r.split("\t")[3]) for r in rows if r.startswith("r\t1\t"))
+
+    # Rel: d2 is MR (gain 1) above d1 at HR (gain 3); Cor is ideal.
+    rel_ndcg = (1 + 3 / math.log2(3)) / (3 + 1 / math.log2(3))
+    assert score("CAM-ndcg") == pytest.approx(0.25 * rel_ndcg + 0.75, abs=5e-5)
+    # AP with HR alone relevant for Rel: the one relevant doc sits at rank 2.
+    assert score("CAM-ap") == pytest.approx(0.25 * 0.5 + 0.75, abs=5e-5)
+
+
+def test_analyze_one_run_tables_exit_2(tmp_path, capsys):
+    paths = []
+    for label in ("EUCL-ndcg", "CHEB-ndcg"):
+        cells = {("only", "1"): 0.5, ("only", "2"): 0.25}
+        path = tmp_path / f"scores_{label}.tsv"
+        path.write_text(render_scores(ScoreMatrix.build(label, cells), {"config": "x"}))
+        paths.append(str(path))
+    out = tmp_path / "reports"
+    assert main(["analyze", "--scores", *paths, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least two runs" in err
+    assert not out.exists()
+
+
+def output_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_paths_from_flags_and_config_hash_alike(env):
+    assert evaluate(env, "--out", str(env / "by_flag")) == 0
+    (env / "paths.ini").write_text(f"[files]\nruns = {env / 'runs'}\n")
+    assert main(["evaluate", "--config", str(env / "paths.ini"),
+                 "--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+                 "--out", str(env / "by_config")]) == 0
+    assert output_files(env / "by_flag") == output_files(env / "by_config")
+
+    scores = [str(env / "by_flag" / "scores_EUCL-ndcg.tsv"),
+              str(env / "by_flag" / "scores_CHEB-ndcg.tsv")]
+    common = ["--seed", "4", "--bootstrap", "100"]
+    assert main(["analyze", "--scores", *scores, *common, "--out", str(env / "r1")]) == 0
+    (env / "scores.ini").write_text(f"[files]\nscores = {' '.join(scores)}\n")
+    assert main(["analyze", "--config", str(env / "scores.ini"), *common,
+                 "--out", str(env / "r2")]) == 0
+    assert output_files(env / "r1") == output_files(env / "r2")
+
+
+def test_outputs_do_not_depend_on_the_input_directory(env, tmp_path_factory):
+    copy = tmp_path_factory.mktemp("elsewhere") / "inputs"
+    shutil.copytree(env, copy)
+    for root in (env, copy):
+        assert evaluate(root) == 0
+        assert full_analyze(root, root / "reports") == 0
+        assert main(["order", "--schema", str(root / "schema.txt"),
+                     "--out", str(root / "order.txt")]) == 0
+    for sub in ("out", "reports"):
+        assert output_files(env / sub) == output_files(copy / sub)
+    assert (env / "order.txt").read_bytes() == (copy / "order.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------

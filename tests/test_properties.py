@@ -1,0 +1,61 @@
+"""Property tests on random schemas with coupling rules.
+
+Hypothesis runs derandomized, so every run of the suite draws the same
+examples.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from aspecteval import (
+    Aspect,
+    AspectSchema,
+    CouplingRule,
+    Metric,
+    MissingBestTuple,
+    SchemaError,
+    apply_rules,
+    build_order,
+    build_tuple_space,
+    check_extends_partial_order,
+)
+
+
+@st.composite
+def coupled_schemas(draw):
+    """2-5 aspects of 2-5 grades, with non-decreasing embed values in
+    halves (ties included) and 0-3 coupling rules."""
+    shape = draw(st.lists(st.integers(2, 5), min_size=2, max_size=5))
+    aspects = []
+    for i, n in enumerate(shape):
+        halves = sorted(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+        labels = tuple(f"g{g}" for g in range(n))
+        aspects.append(Aspect(f"a{i}", labels, tuple(Fraction(h, 2) for h in halves)))
+    rules = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.lists(st.integers(0, len(shape) - 1), min_size=2, max_size=2, unique=True))
+        trigger, forced = draw(st.integers(0, shape[a] - 1)), draw(st.integers(0, shape[b] - 1))
+        rules.append(CouplingRule(a, trigger, b, forced))
+    return AspectSchema(tuple(aspects), tuple(rules))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(coupled_schemas())
+def test_coupling_rules_agree_with_the_tuple_space(schema):
+    try:
+        space = build_tuple_space(schema)
+    except (MissingBestTuple, SchemaError):  # the rules exclude the best or worst tuple
+        reject()
+    for t in itertools.product(*(range(n) for n in schema.grid_shape)):
+        try:
+            fixed, corrections = apply_rules(t, schema)
+        except SchemaError:  # two rules force one aspect to different labels
+            assert t not in space, t
+            continue
+        assert (t in space) == (corrections == 0), t
+        assert fixed in space, (t, fixed)
+    for metric in Metric:
+        assert check_extends_partial_order(build_order(space, schema, metric), schema), metric
