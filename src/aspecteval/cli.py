@@ -52,11 +52,12 @@ from .schema import AspectSchema, GroundTruth, build_tuple_space, parse_schema
 
 
 class Option(NamedTuple):
-    """One option: a flag, a ``section.key`` config key, or both.  A
-    ``many`` option takes one or more values (a config value splits on
-    whitespace); a ``switch`` takes none and reads ``"true"`` when given."""
+    """One option: a flag and, unless ``key`` is ``None``, a ``section.key``
+    config key.  A ``many`` option takes one or more values (a config value
+    splits on whitespace); a ``switch`` takes none and reads ``"true"``
+    when given."""
 
-    flag: str | None
+    flag: str
     key: str | None
     help: str = ""
     default: str | None = None
@@ -88,7 +89,6 @@ EVAL_METRIC = Option("--metric", "order.metric", "distance metric or all", "all"
 WEIGHTS = Option("--weights", "order.weights", "nDCG weights", "distinct", ("distinct", "binary"))
 KIND = Option("--measure", "measure.kind", "measure kind", "both", (NDCG, AP, "both"))
 DEPTH = Option("--depth", "measure.depth", "evaluation depth (integer or 'full')")
-LOG_BASE = Option(None, "measure.log_base", default="2")
 MM_VARIANT = Option("--mm-variant", "mm.variant", "MM variant", CANONICAL, (CANONICAL, TABLE))
 HONOR_RANK = Option("--honor-rank", None, "order runs by their rank column, not score", switch=True)
 SEED = Option("--seed", "analysis.seed", "RNG seed for the bootstrap (required)")
@@ -140,7 +140,7 @@ class Settings:
         for section in self.parser.sections():
             prefix, _, aspect = section.partition(".")
             if section == "importance" or prefix in ("gains", "merge") and aspect:
-                continue  # the keys are schema names: see check_schema
+                continue  # the keys are schema names: see load_schema
             if prefix == "relevant" and aspect:
                 known = {f"{section}.labels"}
             elif section in sections:
@@ -155,7 +155,8 @@ class Settings:
     def load_schema(self, path: str) -> AspectSchema:
         """The schema at ``path``.  The config may name only its aspects (in
         ``[importance]`` and ``[<prefix>.<aspect>]``) and their labels (the
-        keys of ``[gains.<aspect>]``, the values of ``[merge.<aspect>]``)."""
+        keys of ``[gains.<aspect>]``, the ``labels`` of ``[relevant.<aspect>]``
+        and the values of ``[merge.<aspect>]``)."""
         schema = parse_schema(_read(path))
         labels = {a.name: a.labels for a in schema.aspects}
         for section in self.parser.sections():
@@ -169,7 +170,11 @@ class Settings:
                 if aspect not in labels:
                     raise _unknown("aspect", aspect, labels, where)
                 table = self.parser[section]
-                names = {"gains": table.keys(), "merge": table.values()}.get(prefix, ())
+                names = {
+                    "gains": table.keys(),
+                    "relevant": table.get("labels", "").split(),
+                    "merge": table.values(),
+                }[prefix]
                 for name in names:
                     if name not in labels[aspect]:
                         raise _unknown("label", name, labels[aspect], where)
@@ -178,7 +183,7 @@ class Settings:
     def get(self, opt: Option, default: str | None = None):
         """The value of ``opt`` from its flag, else its config key, else
         ``default``, else the option's own default."""
-        value = opt.flag and getattr(self.args, opt.flag.lstrip("-").replace("-", "_"), None)
+        value = getattr(self.args, opt.flag.lstrip("-").replace("-", "_"), None)
         if value is None and opt.key:
             value = self.parser.get(*opt.key.split("."), fallback=None)
             if opt.many and value is not None:
@@ -260,6 +265,8 @@ def _load_ground_truth(st: Settings, qrels: list[str], schema) -> GroundTruth:
                 raise ConfigError(
                     "mixing plain and aspect=path qrels arguments is not supported"
                 )
+            if aspect in per_aspect:
+                raise ConfigError(f"aspect {aspect!r} is given more than one qrels file")
             per_aspect[aspect] = _read(path)
         gt, corrections = join_aspect_qrels(per_aspect, schema, merge)
     elif len(qrels) != 1:
@@ -333,7 +340,6 @@ def cmd_evaluate(st: Settings) -> int:
     kinds = (NDCG, AP) if kind == "both" else (kind,)
     depth = st.get(DEPTH)
     depth = None if depth is None or depth.lower() == "full" else _parse_number(depth, "depth", int)
-    log_base = _parse_number(st.get(LOG_BASE), "log base")
     gains = _aspect_sections(st, schema, "gains")
     relevant = _aspect_sections(st, schema, "relevant")  # each holds just `labels`
 
@@ -347,7 +353,6 @@ def cmd_evaluate(st: Settings) -> int:
         importance=_floats(st.section("importance"), "importance of ") or None,
         mm_variant=st.get(MM_VARIANT),
         depth=depth,
-        log_base=log_base,
         aspect_gains={a: _floats(t, f"gain for {a}/") for a, t in gains.items()} or None,
         aspect_relevant={a: t["labels"].split() for a, t in relevant.items()} or None,
     )
@@ -439,8 +444,8 @@ def cmd_discretize(st: Settings) -> int:
 COMMANDS = {
     cmd_order: (CONFIG, SCHEMA, OUT_FILE, ORDER_METRIC),
     cmd_evaluate: (
-        CONFIG, SCHEMA, OUT_DIR, QRELS, RUNS, EVAL_METRIC, WEIGHTS, KIND, DEPTH, LOG_BASE,
-        MM_VARIANT, HONOR_RANK,
+        CONFIG, SCHEMA, OUT_DIR, QRELS, RUNS, EVAL_METRIC, WEIGHTS, KIND, DEPTH, MM_VARIANT,
+        HONOR_RANK,
     ),
     cmd_analyze: (
         CONFIG, SCHEMA, OUT_DIR, SCORES, QRELS, RUNS, SEED, BOOTSTRAP, ALPHA, K, BANDS, BEST_BY,
@@ -461,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     for func, options in COMMANDS.items():
         p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=func.__doc__)
         for opt in options:
-            if opt.flag:
-                opt.add_to(p)
+            opt.add_to(p)
         p.set_defaults(func=func)
     return parser
 

@@ -61,6 +61,17 @@ def _iter_lines(text: str) -> Iterable[tuple[int, str]]:
             yield lineno, line
 
 
+def _parse_score(token: str, lineno: int) -> float:
+    """The finite score a run or signal line gives as ``token``."""
+    try:
+        score = float(token)
+    except ValueError:
+        raise ParseError(f"non-numeric score {token!r}", lineno) from None
+    if not math.isfinite(score):
+        raise ParseError(f"non-finite score {token!r}", lineno)
+    return score
+
+
 def parse_run(text: str, honor_rank: bool = False) -> RunFile:
     """Parse the standard six-column run format ``topic Q0 docid rank score tag``.
 
@@ -81,12 +92,7 @@ def parse_run(text: str, honor_rank: bool = False) -> RunFile:
             rank = int(rank_s)
         except ValueError:
             raise ParseError(f"non-integer rank {rank_s!r}", lineno) from None
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
-        if not math.isfinite(score):
-            raise ParseError(f"non-finite score {score_s!r}", lineno)
+        score = _parse_score(score_s, lineno)
         if run_tag is None:
             run_tag = tag
         elif tag != run_tag:
@@ -244,10 +250,7 @@ def parse_signals(text: str) -> dict[str, float]:
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", lineno)
         doc, score_s = parts
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
+        score = _parse_score(score_s, lineno)
         if doc in signals:
             raise DuplicateDoc(f"doc {doc!r} appears twice", lineno)
         signals[doc] = score
@@ -265,8 +268,8 @@ def discretize_quantile(
     block always keeps at least one document, so tiny tables collapse into
     the best grade rather than the worst.  An empty table yields an empty map.
     """
-    if not fractions or any(f <= 0 for f in fractions):
-        raise ConfigError("quantile fractions must be positive")
+    if not fractions or not all(0 < f < math.inf for f in fractions):
+        raise ConfigError("quantile fractions must be positive and finite")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"quantile fractions sum to {sum(fractions)!r}, expected 1")
     if not signals:
@@ -296,6 +299,8 @@ def discretize_threshold(
     signals: Mapping[str, float], thresholds: list[float]
 ) -> dict[str, int]:
     """Grade each doc by how many thresholds its raw score reaches."""
+    if not all(map(math.isfinite, thresholds)):
+        raise ConfigError("thresholds must be finite")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ConfigError("thresholds must be strictly ascending")
     return {

@@ -81,7 +81,6 @@ class MeasureConfig:
 
     kind: str
     depth: int | None = None
-    log_base: float = 2.0
     aspect_gains: Mapping[str, Mapping[str, float]] | None = None
     aspect_relevant: Mapping[str, Collection[str]] | None = None
 
@@ -90,17 +89,21 @@ class MeasureConfig:
             raise ConfigError(f"unknown measure kind {self.kind!r}")
         if self.depth is not None and self.depth < 1:
             raise ConfigError("depth must be at least 1")
-        if self.log_base <= 1.0:
-            raise ConfigError("log base must be greater than 1")
 
 
-def dcg(gains: Sequence[float], log_base: float = 2.0) -> float:
-    """Discounted cumulative gain; every rank is discounted, including rank 1.
-    The terms are added from left to right, as in ``left_sum``."""
-    log_b = math.log(log_base)
+def _discount(rank: int) -> float:
+    """The nDCG discount of ``rank``, log2(rank + 1), rank 1 included (so any
+    other base would cancel).  ``math.log2`` differs from it in the last bit
+    for some ranks; ``dcg`` and ``_scores`` must both use this one."""
+    return math.log(rank + 1) / math.log(2.0)
+
+
+def dcg(gains: Sequence[float]) -> float:
+    """Discounted cumulative gain, the terms added from left to right as in
+    ``left_sum``."""
     total = 0.0
     for i, g in enumerate(gains, start=1):
-        total += g / (math.log(i + 1) / log_b)
+        total += g / _discount(i)
     return total
 
 
@@ -109,7 +112,6 @@ def ndcg(
     gains_of: Mapping[str, float],
     all_judged_gains: Sequence[float],
     depth: int | None = None,
-    log_base: float = 2.0,
 ) -> float:
     """nDCG of ``run`` against the ideal reordering of all judged gains.
 
@@ -121,10 +123,10 @@ def ndcg(
     ideal_gains = sorted(all_judged_gains, reverse=True)
     if depth is not None:
         ideal_gains = ideal_gains[:depth]
-    ideal = dcg(ideal_gains, log_base)
+    ideal = dcg(ideal_gains)
     if ideal == 0.0:
         return 0.0
-    return dcg(run_gains, log_base) / ideal
+    return dcg(run_gains) / ideal
 
 
 def average_precision(
@@ -152,7 +154,7 @@ def _score(run: RankedList, column: Mapping[str, float], cfg: MeasureConfig) -> 
     """Score one ranking against one doc -> gain column of the judged pool:
     nDCG over the gains, or AP with every nonzero gain counted relevant."""
     if cfg.kind == NDCG:
-        return ndcg(run, column, list(column.values()), cfg.depth, cfg.log_base)
+        return ndcg(run, column, list(column.values()), cfg.depth)
     relevant = {d for d, g in column.items() if g}
     return average_precision(run, relevant, len(relevant), cfg.depth)
 
@@ -202,6 +204,8 @@ def _aspect_table(aspect: Aspect, cfg: MeasureConfig) -> list[float]:
         raise ConfigError(
             f"no gain configured for label {exc} of aspect {aspect.name!r}"
         ) from None
+    if not all(map(math.isfinite, vec)):
+        raise ConfigError(f"non-finite gain for aspect {aspect.name!r}")
     if any(v < 0 for v in vec):
         raise ConfigError(f"negative gain for aspect {aspect.name!r}")
     if any(b < a for a, b in itertools.pairwise(vec)):
@@ -398,9 +402,8 @@ def _scores(gains: np.ndarray, rows: np.ndarray, cfg: MeasureConfig) -> np.ndarr
     width = rows.shape[1]
     if cfg.kind == NDCG:
         ideal_gains = np.sort(gains[:-1], axis=0)[::-1][: cfg.depth]
-        log_b = math.log(cfg.log_base)
         n = max(width, len(ideal_gains))
-        discount = np.array([math.log(i + 1) / log_b for i in range(1, n + 1)])[:, None]
+        discount = np.array([_discount(i) for i in range(1, n + 1)])[:, None]
         ideal = np.cumsum(ideal_gains / discount[: len(ideal_gains)], axis=0)[-1]
         run = np.cumsum(gathered / discount[:width], axis=1)[:, -1]
         return np.divide(run, ideal, out=np.zeros_like(run), where=ideal != 0.0)
@@ -431,7 +434,6 @@ def score_runs(
     importance: Mapping[str, float] | None = None,
     mm_variant: str = CANONICAL,
     depth: int | None = None,
-    log_base: float = 2.0,
     aspect_gains: Mapping[str, Mapping[str, float]] | None = None,
     aspect_relevant: Mapping[str, Collection[str]] | None = None,
 ) -> dict[str, ScoreMatrix]:
@@ -444,9 +446,7 @@ def score_runs(
     """
     # The measure options are checked before the first order is built; the
     # weight policy is checked against each order's class count.
-    cfgs = [
-        MeasureConfig(kind, depth, log_base, aspect_gains, aspect_relevant) for kind in kinds
-    ]
+    cfgs = [MeasureConfig(kind, depth, aspect_gains, aspect_relevant) for kind in kinds]
     tables = [[_aspect_table(a, cfg) for a in schema.aspects] for cfg in cfgs]
     if mm_variant not in (CANONICAL, TABLE):
         raise ConfigError(f"unknown harmonic-mean variant {mm_variant!r}")

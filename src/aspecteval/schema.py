@@ -149,8 +149,9 @@ def validate_schema(schema: AspectSchema) -> None:
 
     Invariants: at least one aspect; unique aspect names; per aspect at least
     two labels, unique label names, and non-decreasing non-negative embed
-    values; coupling rules reference existing aspects/labels and couple two
-    distinct aspects.
+    values; coupling rules reference existing aspects/labels, couple two
+    distinct aspects, and settle (``apply_rules`` reaches a fixpoint) from
+    every tuple.
     """
     if not schema.aspects:
         raise SchemaError("schema declares no aspects")
@@ -183,6 +184,28 @@ def validate_schema(schema: AspectSchema) -> None:
             raise SchemaError("coupling rule references an unknown trigger label")
         if not 0 <= r.forced_label < schema.aspects[r.forced_aspect].n_grades:
             raise SchemaError("coupling rule references an unknown forced label")
+    # Unless two rules force one aspect to different labels, every aspect
+    # changes at most once and every tuple settles.
+    forced = {(r.forced_aspect, r.forced_label) for r in schema.rules}
+    if len(forced) > len({aspect for aspect, _ in forced}):
+        _check_rules_settle(schema)
+
+
+def _check_rules_settle(schema: AspectSchema) -> None:
+    """Raise SchemaError naming the first tuple from which ``apply_rules``
+    never settles.  Only the aspects the rules name vary: no rule reads or
+    writes the others, so they stay at grade 0."""
+    named = sorted({i for r in schema.rules for i in (r.trigger_aspect, r.forced_aspect)})
+    t = [0] * schema.n_aspects
+    for grades in itertools.product(*(range(schema.aspects[i].n_grades) for i in named)):
+        for i, g in zip(named, grades):
+            t[i] = g
+        try:
+            apply_rules(tuple(t), schema)
+        except SchemaError:
+            raise SchemaError(
+                f"coupling rules never settle from {schema.format_tuple(tuple(t))}"
+            ) from None
 
 
 def parse_schema(text: str) -> AspectSchema:

@@ -119,6 +119,27 @@ def ref_tuple_space(schema):
     )
 
 
+def ref_unsettled_tuple(shape, rules):
+    """The first grid tuple, in lexicographic order, from which the coupling
+    rules (trigger aspect, trigger label, forced aspect, forced label),
+    applied pass after pass in order, come back to a state they passed
+    through without settling; None if they settle from every tuple."""
+    for t in itertools.product(*(range(n) for n in shape)):
+        state, seen = list(t), set()
+        while tuple(state) not in seen:
+            seen.add(tuple(state))
+            changed = False
+            for ta, tl, fa, fl in rules:
+                if state[ta] == tl and state[fa] != fl:
+                    state[fa] = fl
+                    changed = True
+            if not changed:
+                break
+        else:
+            return t
+    return None
+
+
 def ref_build_order(tuples, schema, metric):
     """[(key, members)] per class by increasing distance from the best
     tuple: one grade -> step table per aspect (squared for Euclidean), keys

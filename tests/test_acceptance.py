@@ -6,6 +6,7 @@ cannot drift with them.  The straight-line comparison code lives in
 ``reference_impl.py``.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -553,45 +554,46 @@ def header_value(path, key):
     return None
 
 
-def test_ac9_benchmark_matches_reference(tmp_path):
-    failures = []
-    bench = synth_benchmark()
+def run_ac9_commands(bench, tmp_path):
+    """Write the benchmark's inputs under ``tmp_path``, then run ``evaluate``
+    into ``scores/`` and ``analyze`` into ``reports/``: two tables, B = 1,000
+    and the audits.  Returns the two exit codes."""
     (tmp_path / "schema.txt").write_text(bench["schema_text"])
     (tmp_path / "qrels.txt").write_text(bench["qrels_text"])
     runs_dir = tmp_path / "runs"
     runs_dir.mkdir()
     for tag, text in bench["run_texts"].items():
         (runs_dir / f"{tag}.run").write_text(text)
-
-    code = main(
-        [
-            "evaluate",
-            "--schema", str(tmp_path / "schema.txt"),
-            "--qrels", str(tmp_path / "qrels.txt"),
-            "--runs", str(runs_dir),
-            "--out", str(tmp_path / "scores"),
-        ]
-    )
-    if code != 0:
-        failures.append(f"evaluate exited {code}")
-    score_a = tmp_path / "scores" / "scores_EUCL-ndcg.tsv"
-    score_b = tmp_path / "scores" / "scores_CHEB-ndcg.tsv"
-    reports = tmp_path / "reports"
-    code = main(
+    inputs = ["--schema", str(tmp_path / "schema.txt"), "--qrels", str(tmp_path / "qrels.txt"),
+              "--runs", str(runs_dir)]
+    evaluate_code = main(["evaluate", *inputs, "--out", str(tmp_path / "scores")])
+    analyze_code = main(
         [
             "analyze",
-            "--scores", str(score_a), str(score_b),
+            "--scores",
+            str(tmp_path / "scores" / "scores_EUCL-ndcg.tsv"),
+            str(tmp_path / "scores" / "scores_CHEB-ndcg.tsv"),
             "--seed", "11",
             "--bootstrap", "1000",
             "--alpha", "0.05",
-            "--schema", str(tmp_path / "schema.txt"),
-            "--qrels", str(tmp_path / "qrels.txt"),
-            "--runs", str(runs_dir),
-            "--out", str(reports),
+            *inputs,
+            "--out", str(tmp_path / "reports"),
         ]
     )
-    if code != 0:
-        failures.append(f"analyze exited {code}")
+    return evaluate_code, analyze_code
+
+
+def test_ac9_benchmark_matches_reference(tmp_path):
+    failures = []
+    bench = synth_benchmark()
+    evaluate_code, analyze_code = run_ac9_commands(bench, tmp_path)
+    if evaluate_code != 0:
+        failures.append(f"evaluate exited {evaluate_code}")
+    if analyze_code != 0:
+        failures.append(f"analyze exited {analyze_code}")
+    score_a = tmp_path / "scores" / "scores_EUCL-ndcg.tsv"
+    score_b = tmp_path / "scores" / "scores_CHEB-ndcg.tsv"
+    reports = tmp_path / "reports"
 
     table_a = read_score_table(score_a.read_text())
     table_b = read_score_table(score_b.read_text())
@@ -669,3 +671,44 @@ def test_ac9_benchmark_matches_reference(tmp_path):
     if got_bands != expected_bands:
         failures.append(f"quality bands {got_bands} != {expected_bands}")
     conclude("AC9 benchmark analysis matches straight-line reference", failures)
+
+
+# ---------------------------------------------------------------------------
+# Output digests: AC9's outputs, byte for byte, on every supported numpy.
+# The DP reports depend bit for bit on numpy's Generator.integers and its
+# pairwise sum, which the tests above only compare against the same numpy.
+
+AC9_DIGESTS = {
+    "scores/scores_CAM-ap.tsv": "fcc025c1745137592a6c77ddb11d034246380f008d3ab00b6ac4d802f5ef8694",
+    "scores/scores_CAM-ndcg.tsv": "e3181afe4f2a0dfa0eb628e34d689f7ee037bcb7045744ee4bff549406cae964",
+    "scores/scores_CHEB-ap.tsv": "7fdbe88fe0844bff582d5fc31f6ba27e3a56cc2e07c70269f278ec8fc5d148ad",
+    "scores/scores_CHEB-ndcg.tsv": "f1f456fb885a4fb6b860912cef9334d3bb19ddf2cc93149e1d8b0f09fccb3c65",
+    "scores/scores_EUCL-ap.tsv": "dbc9faadbba4979523b2d4d1b8af18943e63c5be65dfc83cdafc538f6804b880",
+    "scores/scores_EUCL-ndcg.tsv": "4e2f5584bb9f688c1d0a25099d251436bce2844c648bee681cc6d34b3f21e059",
+    "scores/scores_MANH-ap.tsv": "79b4d9394a9fed146d32030a3766112d1a80fe2358cecf4b8bb9c6564f9d20f2",
+    "scores/scores_MANH-ndcg.tsv": "ef64a97d3caa098e0683f797ac054f1aed7cd1a9b3c7771a80979eff069e539d",
+    "scores/scores_MM-ap.tsv": "d173ab388c7011dd12e2530e8cc8ca1ca589644851257b9a7e86d5ebe898058a",
+    "scores/scores_MM-ndcg.tsv": "df2eaf0845a5be2ec6f6e3e1810c640adac496bd21634b95f8b2e8edc5ac9427",
+    "reports/correlation_EUCL-ndcg_vs_CHEB-ndcg.tsv": "8a6ca66c97c7a2ee7b274373ae1baab934c88fe5e0c21355d394508e682c5fb7",
+    "reports/dp_CHEB-ndcg.tsv": "997f7106583efef3f6b73b7ed8d327b8c72e144a1611a9a0585b51d67dc72c65",
+    "reports/dp_EUCL-ndcg.tsv": "5175c77f7cbcae84abb72389d3d5745e3afcbddae81195f5053a2062c36de6dc",
+    "reports/quality_bands.tsv": "fdb87f459d53fc1c5b199000a3b89535327149ec9c426db5f6db0b3c9678fb2d",
+    "reports/zero_aspect.tsv": "de15ff3af7312ba97bff3f98fb5a38fb26d1fd43b9db166167a709df5f72eff6",
+}
+
+
+def test_output_digests_are_pinned(tmp_path):
+    failures = []
+    codes = run_ac9_commands(synth_benchmark(), tmp_path)
+    if codes != (0, 0):
+        failures.append(f"evaluate and analyze exited {codes}")
+    got = {
+        f"{out}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for out in ("scores", "reports")
+        for p in sorted((tmp_path / out).iterdir())
+    }
+    if sorted(got) != sorted(AC9_DIGESTS):
+        failures.append(f"outputs {sorted(got)} != {sorted(AC9_DIGESTS)}")
+    failures += [f"{name} changed: sha256 {got[name]}" for name in sorted(got)
+                 if name in AC9_DIGESTS and got[name] != AC9_DIGESTS[name]]
+    conclude("output digests match the pinned ones", failures)

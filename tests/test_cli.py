@@ -170,7 +170,7 @@ CONFIG_KEYS = {
     ("files", "schema"), ("files", "qrels"), ("files", "runs"), ("files", "scores"),
     ("files", "signals"),
     ("order", "metric"), ("order", "weights"),
-    ("measure", "kind"), ("measure", "depth"), ("measure", "log_base"),
+    ("measure", "kind"), ("measure", "depth"),
     ("mm", "variant"),
     ("analysis", "seed"), ("analysis", "bootstrap"), ("analysis", "alpha"), ("analysis", "k"),
     ("analysis", "bands"), ("analysis", "best_by"),
@@ -685,6 +685,7 @@ def test_analyze_audit_inputs_come_as_a_trio(env, capsys):
     [
         ("[mesure]\nkind = ap\n", "unknown config section 'mesure'; did you mean 'measure'?"),
         ("[measure]\nknd = ap\n", "config key 'measure.knd'; did you mean 'measure.kind'?"),
+        ("[measure]\nlog_base = 2\n", "unknown config key 'measure.log_base'"),
         ("[order]\nMetric = all\n", "key 'order.Metric'; did you mean 'order.metric'?"),
         ("[gain.relevance]\nnr = 0\n", "section 'gain.relevance'; did you mean 'gains.relevance'?"),
         ("[gains.relevence]\n", "'relevence' in [gains.relevence]; did you mean 'relevance'?"),
@@ -697,11 +698,16 @@ def test_analyze_audit_inputs_come_as_a_trio(env, capsys):
             "key 'relevant.relevance.lables'; did you mean 'relevant.relevance.labels'?",
         ),
         ("[importance]\nrelevence = 1\n", "aspect 'relevence' in [importance]; did you"),
-        ("[merge.correctness]\nbad = cc\n", "label 'cc' in [merge.correctness]; did you mean"),        ("[DEFAULT]\nkind = ap\n[measure]\n", "unknown config section 'DEFAULT'"),
+        ("[merge.correctness]\nbad = cc\n", "label 'cc' in [merge.correctness]; did you mean"),
+        (
+            "[relevant.relevance]\nlabels = fr hrr\n",
+            "unknown label 'hrr' in [relevant.relevance]; did you mean 'hr'?",
+        ),
+        ("[DEFAULT]\nkind = ap\n[measure]\n", "unknown config section 'DEFAULT'"),
     ],
     ids=[
-        "section", "key", "key-case", "prefix", "aspect", "label", "labels-key", "importance",
-        "merge", "default",
+        "section", "key", "log-base", "key-case", "prefix", "aspect", "label", "labels-key", "importance",
+        "merge", "relevant-label", "default",
     ],
 )
 def test_unknown_config_names_exit_2_with_a_hint(env, capsys, ini, message):
@@ -721,6 +727,65 @@ def test_malformed_config_files_exit_2(env, capsys, ini):
     assert evaluate(env, "--config", str(env / "eval.ini")) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (env / "out").exists()
+
+
+@pytest.mark.parametrize("gain", ["inf", "nan"])
+def test_evaluate_rejects_a_non_finite_gain(env, capsys, gain):
+    (env / "eval.ini").write_text(CONFIG.replace("hr = 15", f"hr = {gain}"))
+    assert evaluate(env, "--config", str(env / "eval.ini")) == 2
+    assert "non-finite gain for aspect 'relevance'" in capsys.readouterr().err
+    assert not (env / "out").exists()
+
+
+def test_evaluate_rejects_a_repeated_aspect_qrels_file(env, capsys):
+    for name, text in (("rel_a", "1 0 d1 mr\n"), ("rel_b", "1 0 d1 hr\n"), ("cor", "1 0 d1 c\n")):
+        (env / f"{name}.txt").write_text(text)
+    pairs = [f"relevance={env / 'rel_a.txt'}", f"relevance={env / 'rel_b.txt'}",
+             f"correctness={env / 'cor.txt'}"]
+    code = main(["evaluate", "--schema", str(env / "schema.txt"), "--qrels", *pairs,
+                 "--runs", str(env / "runs"), "--out", str(env / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: aspect 'relevance' is given more than one qrels file\n"
+    assert captured.out == ""
+    assert not (env / "out").exists()
+
+
+NEVER_SETTLES = """\
+aspect relevance
+label nr 0
+label hr 1
+aspect correctness
+label nc 0
+label c 1
+aspect credibility
+label nb 0
+label b 1
+couple correctness nc relevance nr
+couple credibility b relevance hr
+"""
+
+
+def test_rules_that_never_settle_fail_every_command_at_the_schema(env, capsys):
+    # the qrels row nr,nc,b flips relevance back and forth; no command may
+    # get as far as reading it
+    (env / "loop.txt").write_text(NEVER_SETTLES)
+    (env / "loop_qrels.txt").write_text(
+        "# aspects: relevance correctness credibility\n1 0 d1 nr nc b\n"
+    )
+    assert evaluate(env) == 0
+    inputs = ["--schema", str(env / "loop.txt"), "--qrels", str(env / "loop_qrels.txt"),
+              "--runs", str(env / "runs")]
+    commands = [
+        ["order", "--schema", str(env / "loop.txt"), "--out", str(env / "order.txt")],
+        ["evaluate", *inputs, "--out", str(env / "loop_out")],
+    ]
+    for argv in commands:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: coupling rules never settle from nr,nc,b\n"
+    assert analyze(env, env / "reports", *inputs) == 2
+    assert capsys.readouterr().err == "error: coupling rules never settle from nr,nc,b\n"
+    assert not any((env / name).exists() for name in ("order.txt", "loop_out", "reports"))
 
 
 def test_analyze_checks_the_config_against_the_audit_schema(env, capsys):
@@ -880,6 +945,23 @@ def test_discretize_threshold_mode(env, capsys):
     text = (env / "grades.tsv").read_text()
     assert "# mode: threshold" in text
     assert text.endswith("edge\t2\nhigh\t2\nlow\t0\nmid\t1\n")
+
+
+@pytest.mark.parametrize(
+    "signals,args,message",
+    [
+        ("a 0.9\nb nan\n", ["--fractions", "0.5,0.5"], "line 2: non-finite score 'nan'"),
+        ("a 0.9\n", ["--fractions", "nan"], "quantile fractions must be positive and finite"),
+        ("a 0.9\n", ["--mode", "threshold", "--cuts", "nan"], "thresholds must be finite"),
+    ],
+    ids=["signal", "fractions", "cuts"],
+)
+def test_discretize_rejects_non_finite_numbers(env, capsys, signals, args, message):
+    (env / "signals.txt").write_text(signals)
+    assert main(["discretize", "--signals", str(env / "signals.txt"), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_discretize_empty_signal_table_succeeds(env, capsys):

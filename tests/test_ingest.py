@@ -1,6 +1,7 @@
 """Ingestion tests: run files, multi-aspect and per-aspect qrels, signal
 tables, and the two discretizers."""
 
+import math
 import random
 
 import pytest
@@ -315,6 +316,23 @@ def test_quantile_validation_and_empty_table():
         discretize_quantile({"a": 1.0}, [0.5, -0.5, 1.0])
     with pytest.raises(ConfigError, match="sum"):
         discretize_quantile({"a": 1.0}, [0.5, 0.4])
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_signals_reject_non_finite_scores_at_their_line(token):
+    # a NaN would get a grade that depends on the order of the lines
+    text = f"a 0.9\n# comment\n\nb {token}\n"
+    with pytest.raises(ParseError, match=f"line 4: non-finite score '{token}'"):
+        parse_signals(text)
+
+
+def test_discretizers_reject_non_finite_settings():
+    for fractions in ([0.5, math.nan, 0.5], [math.inf]):
+        with pytest.raises(ConfigError, match="finite"):
+            discretize_quantile({"a": 1.0}, fractions)
+    for cuts in ([math.nan], [80.0, math.inf]):
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            discretize_threshold({"a": 1.0}, cuts)
 
 
 def test_threshold_counts_cuts_at_or_below_score():

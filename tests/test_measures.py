@@ -65,15 +65,6 @@ def test_dcg_sums_left_to_right():
     assert dcg(gains) == ref_sum(terms)
 
 
-def test_dcg_log_base_cancels_in_ndcg():
-    gains = {"a": 3.0, "b": 1.0, "c": 2.0}
-    run = ranking(("a", "b", "c"))
-    judged = list(gains.values())
-    base2 = ndcg(run, gains, judged, log_base=2.0)
-    base10 = ndcg(run, gains, judged, log_base=10.0)
-    assert base2 == pytest.approx(base10, abs=1e-12)
-
-
 def test_ndcg_of_ideal_ordering_is_one():
     gains = {"a": 3.0, "b": 2.0, "c": 0.0}
     assert ndcg(ranking(("a", "b", "c")), gains, list(gains.values())) == pytest.approx(1.0)
@@ -341,13 +332,20 @@ def test_aspect_map_validation(schema, gt):
         aspect_scores(run, gt, schema, gapped)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_gains_are_rejected(schema, gt, bad):
+    gains = {"relevance": {"nr": 0, "mr": 1, "fr": 2, "hr": bad}}
+    with pytest.raises(ConfigError, match="non-finite gain for aspect 'relevance'"):
+        aspect_scores(ranking(("d1",)), gt, schema, MeasureConfig("ndcg", aspect_gains=gains))
+    with pytest.raises(ConfigError, match="non-finite gain for aspect 'relevance'"):
+        score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",), aspect_gains=gains)
+
+
 def test_measure_config_validation():
     with pytest.raises(ConfigError):
         MeasureConfig("rr")
     with pytest.raises(ConfigError):
         MeasureConfig("ndcg", depth=0)
-    with pytest.raises(ConfigError):
-        MeasureConfig("ndcg", log_base=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +434,7 @@ def test_missing_topic_scores_zero(schema, gt):
 
 
 @pytest.mark.parametrize("depth", [None, 1, 5])
-@pytest.mark.parametrize("log_base", [2, 10])
-def test_score_runs_equals_the_scalar_scorers_on_every_cell(depth, log_base):
+def test_score_runs_equals_the_scalar_scorers_on_every_cell(depth):
     rng = random.Random(1202)
     lines = []
     for a, n_grades in enumerate((4, 3, 3)):
@@ -469,7 +466,7 @@ def test_score_runs_equals_the_scalar_scorers_on_every_cell(depth, log_base):
     importance = {"a0": 0.5, "a1": 0.3, "a2": 0.2}
     gains = {"a0": {"g0": 0, "g1": 1, "g2": 1, "g3": 7}, "a1": {"g0": 0, "g1": 2, "g2": 3}}
     relevant = {"a0": ["g2", "g3"], "a1": ["g2"]}
-    settings = dict(depth=depth, log_base=log_base, aspect_gains=gains, aspect_relevant=relevant)
+    settings = dict(depth=depth, aspect_gains=gains, aspect_relevant=relevant)
     clamp = lambda s: min(1.0, max(0.0, s))
     for variant in ("canonical", "table"):
         matrices = score_runs(

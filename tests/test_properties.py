@@ -7,6 +7,7 @@ examples.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,14 @@ from aspecteval import (
     build_tuple_space,
     check_extends_partial_order,
 )
+from reference_impl import ref_unsettled_tuple
 
 
 @st.composite
 def coupled_schemas(draw):
     """2-5 aspects of 2-5 grades, with non-decreasing embed values in
-    halves (ties included) and 0-3 coupling rules."""
+    halves (ties included) and 0-3 coupling rules, as (aspects, rules)
+    with each rule an index tuple."""
     shape = draw(st.lists(st.integers(2, 5), min_size=2, max_size=5))
     aspects = []
     for i, n in enumerate(shape):
@@ -38,23 +41,28 @@ def coupled_schemas(draw):
     for _ in range(draw(st.integers(0, 3))):
         a, b = draw(st.lists(st.integers(0, len(shape) - 1), min_size=2, max_size=2, unique=True))
         trigger, forced = draw(st.integers(0, shape[a] - 1)), draw(st.integers(0, shape[b] - 1))
-        rules.append(CouplingRule(a, trigger, b, forced))
-    return AspectSchema(tuple(aspects), tuple(rules))
+        rules.append((a, trigger, b, forced))
+    return tuple(aspects), rules
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(coupled_schemas())
-def test_coupling_rules_agree_with_the_tuple_space(schema):
+def test_coupling_rules_agree_with_the_tuple_space(drawn):
+    aspects, rules = drawn
+    couplings = tuple(CouplingRule(*r) for r in rules)
+    unsettled = ref_unsettled_tuple([a.n_grades for a in aspects], rules)
+    if unsettled is not None:  # construction raises exactly when the rules never settle
+        labels = ",".join(f"g{g}" for g in unsettled)
+        with pytest.raises(SchemaError, match=f"never settle from {labels}$"):
+            AspectSchema(aspects, couplings)
+        return
+    schema = AspectSchema(aspects, couplings)
     try:
         space = build_tuple_space(schema)
     except (MissingBestTuple, SchemaError):  # the rules exclude the best or worst tuple
         reject()
     for t in itertools.product(*(range(n) for n in schema.grid_shape)):
-        try:
-            fixed, corrections = apply_rules(t, schema)
-        except SchemaError:  # two rules force one aspect to different labels
-            assert t not in space, t
-            continue
+        fixed, corrections = apply_rules(t, schema)
         assert (t in space) == (corrections == 0), t
         assert fixed in space, (t, fixed)
     for metric in Metric:

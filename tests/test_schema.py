@@ -122,6 +122,30 @@ def test_apply_rules_chains_until_stable():
     assert corrections == 2
 
 
+NEVER_SETTLES = """\
+aspect a0
+label g0 0
+label g1 1
+aspect a1
+label g0 0
+label g1 1
+aspect a2
+label g0 0
+label g1 1
+couple a1 g0 a0 g0
+couple a2 g1 a0 g1
+"""
+
+
+def test_rules_that_never_settle_are_rejected():
+    # from (g0, g0, g1) the two rules flip a0 back and forth forever
+    with pytest.raises(SchemaError, match="never settle from g0,g0,g1$"):
+        parse_schema(NEVER_SETTLES)
+    # one forced label per aspect always settles, even across a chain
+    chained = NEVER_SETTLES.replace("couple a2 g1 a0 g1", "couple a0 g0 a2 g0")
+    assert parse_schema(chained).rules
+
+
 def test_ground_truth_accessors(schema):
     gt = ground_truth_from(
         [("2", "d9", (2, 0)), ("1", "d1", (1, 2)), ("2", "d1", (3, 1)), ("1", "d2", (0, 0))],
