@@ -128,65 +128,103 @@ def _pair_rng(seed: int, run_a: str, run_b: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, h(lo), h(hi)]))
 
 
-# Elements per resample block (128 KiB of float64), so that the index block
-# and the gather buffer stay in cache.  The block size does not change the
-# draws: the generator's stream continues across calls.
-_BLOCK_ELEMENTS = 16 * 1024
+# Scores are read at the 4 decimals the score tables print: the test turns
+# every score into an integer number of 1e-4 units, once.
+_UNITS = 10_000
+# Differences lie within +-1e4 units, so the int64 terms n * sum(D^2) and
+# sum(D)^2 stay below 2^63 while n^2 * 1e8 does: n < 3e5 topics.
+_MAX_TOPICS = 300_000
+# Relative gap below which the float64 comparison of the test's two products
+# is settled with Python ints.  The products carry a few ulps of rounding at
+# most, far below this.
+_TIE_GAP = 1e-9
+# Indices per resample block, and resample sums per comparison.  The block
+# size does not change the draws: the generator's stream continues across
+# calls.
+_BLOCK_ELEMENTS = 32 * 1024
+# Multiply-adds per count-matrix product, at most.  OpenBLAS runs a product
+# of m multiply-adds on min(CPUs, m // 2^18) threads, so below 2^19 on the
+# calling thread alone.  Above it, with one forked worker per CPU, each
+# worker's second thread oversubscribes the CPUs: 10 tables of 200 topics
+# took 3-5x as long on 2 CPUs.
+_PRODUCT_ELEMENTS = (1 << 19) - 1
+
+
+def _block_rows(n: int, k: int) -> tuple[int, int]:
+    """Resamples per block of draws, and per comparison (a multiple of the
+    block), for n topics and k tables."""
+    rows = max(1, min(_BLOCK_ELEMENTS // n, _PRODUCT_ELEMENTS // (2 * k * n)))
+    return rows, rows * max(1, _BLOCK_ELEMENTS // (2 * k * rows))
+
+
+def _count_hits(sums: np.ndarray, n: int, total: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Per column, the resamples whose |t*| >= |t_obs|, given the resamples'
+    sums as rows [s1 | s2] (2 x columns rows of int64, one column per
+    resample); see ``_bootstrap_asls``."""
+    k = len(total)
+    s1 = sums[:k]
+    excess = s1 - total[:, None]
+    sample_spread = n * sums[k:] - s1 * s1
+    lhs = np.square(excess.astype(np.float64)) * spread.astype(np.float64)[:, None]
+    gap = lhs - sample_spread.astype(np.float64) * (total * total).astype(np.float64)[:, None]
+    hit = gap >= 0.0
+    for c, r in zip(*np.nonzero(np.abs(gap) <= _TIE_GAP * lhs)):
+        e, v, s = int(excess[c, r]), int(sample_spread[c, r]), int(total[c])
+        hit[c, r] = (e != 0 or s == 0) if v == 0 else e * e * int(spread[c]) >= s * s * v
+    return np.count_nonzero(hit, axis=1)
 
 
 def _bootstrap_asls(
-    ds: Sequence[np.ndarray], b_samples: int, rng: np.random.Generator
-) -> list[tuple[float, float]]:
-    """Observed studentized mean and its achieved significance level, for
-    each of one run pair's difference vectors (one per score table).
+    ds: np.ndarray, b_samples: int, rng: np.random.Generator
+) -> list[float]:
+    """Achieved significance level of each column of ``ds``, one run pair's
+    per-topic differences (n topics x tables, int64 units of 1e-4, none of
+    them constant).
 
     Resamples the centered differences with replacement and counts how often
-    the resampled statistic is at least as extreme as the observed one.
-    Every vector is resampled with the same index draws, which are drawn
-    once per block and gathered once per vector, so a vector's result does
-    not depend on the others.  Each resample's mean and standard deviation
-    are computed with the operations ``np.mean`` and ``np.std(ddof=1)`` use,
-    in the same order, so the statistic is the same to the last bit.
+    the resampled studentized mean is at least as extreme as the observed
+    one.  With S = sum(D), Q = sum(D^2), and s1, s2 the same sums over a
+    resample, |t*| >= |t_obs| is the integer test
+
+        E^2 * (nQ - S^2) >= S^2 * V,   E = s1 - S,  V = n*s2 - s1^2.
+
+    A constant resample (V = 0) is a hit iff E != 0 or S = 0: its statistic
+    is unbounded, or 0 against an observed 0.  Each block of draws becomes a
+    count matrix C (resamples x topics), and one float64 product
+    C @ [D | D^2] gives s1 and s2 of every column; the terms are integers
+    whose partial sums stay below 2^53, so the product is exact in any
+    summation order.  E and V are exact in int64.  The two products are
+    compared in float64, and near-ties are settled with Python ints.  So
+    every column shares the draws, and its ASL depends neither on the other
+    columns nor on the BLAS library or its thread count.
     """
-    n = len(ds[0])
-    sqrt_n = math.sqrt(n)
-    t_obs, centered = [], []
-    for d in ds:
-        mean = d.mean()
-        t_obs.append(mean / (d.std(ddof=1) / sqrt_n))
-        centered.append(d - mean)
-    hits = [0] * len(ds)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    buffer = np.empty((min(rows, b_samples), n))
-    for start in range(0, b_samples, rows):
-        block = min(rows, b_samples - start)
-        indices = rng.integers(0, n, size=(block, n))
-        samples = buffer[:block]
-        for k, w in enumerate(centered):
-            # Indices lie in [0, n), so "clip" never clips; unlike "raise" it
-            # writes into the buffer without an intermediate copy.
-            np.take(w, indices, out=samples, mode="clip")
-            sample_mean = samples.sum(axis=1) / n
-            samples -= sample_mean[:, None]
-            np.square(samples, out=samples)
-            sample_sd = np.sqrt(samples.sum(axis=1) / (n - 1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_star = sample_mean / (sample_sd / sqrt_n)
-            # A constant resample has sd 0: its statistic is 0 when the mean
-            # is also 0 and unboundedly extreme otherwise.
-            t_star = np.where(
-                sample_sd == 0.0,
-                np.where(sample_mean == 0.0, 0.0, np.inf),
-                t_star,
-            )
-            hits[k] += int(np.count_nonzero(np.abs(t_star) >= abs(t_obs[k])))
-    return [(float(t), h / b_samples) for t, h in zip(t_obs, hits)]
+    n, k = ds.shape
+    total = ds.sum(axis=0)
+    spread = n * (ds * ds).sum(axis=0) - total * total
+    moments = np.concatenate([ds, ds * ds], axis=1).astype(np.float64)
+    rows, chunk = _block_rows(n, k)
+    sums = np.empty((min(chunk, b_samples), 2 * k))
+    # Row r of a block counts its draws in r*n .. r*n + n - 1 of one bincount.
+    offsets = np.arange(0, min(rows, b_samples) * n, n)[:, None]
+    hits = np.zeros(k, dtype=np.int64)
+    for start in range(0, b_samples, chunk):
+        filled = min(chunk, b_samples - start)
+        for lo in range(0, filled, rows):
+            block = min(rows, filled - lo)
+            indices = rng.integers(0, n, size=(block, n))
+            indices += offsets[:block]
+            counts = np.bincount(indices.ravel(), minlength=block * n)
+            np.matmul(counts.reshape(block, n).astype(np.float64), moments,
+                      out=sums[lo:lo + block])
+        hits += _count_hits(sums[:filled].T.astype(np.int64, order="C"), n, total, spread)
+    return (hits / b_samples).tolist()
 
 
 # Below this many drawn indices (pairs x B x topics) the pairs run
 # in-process.  On a 2-vCPU Xeon a fork pool costs 30-50 ms to start and
-# stop, and pooled and in-process runs break even near 3-6 M indices.
-_POOL_MIN_DRAWS = 1 << 22
+# stop, and pooled and in-process runs break even near 5-6 M indices with
+# three tables and 7.5-9 M with one.
+_POOL_MIN_DRAWS = 1 << 23
 _CHUNKS_PER_WORKER = 4
 
 
@@ -197,32 +235,37 @@ def _usable_cpus() -> int:
 
 def _pair_tests(
     pair: tuple[int, int],
-    values: Sequence[np.ndarray],
+    units: np.ndarray,
     run_tags: Sequence[str],
     b_samples: int,
     alpha: float,
     seed: int,
 ) -> list[PairTest]:
-    """One PairTest per table of ``values`` for the run pair (a, b), given as
-    row indices.  The result depends only on the pair, never on the process
-    it runs in."""
+    """One PairTest per table of ``units`` (tables x runs x topics, int64
+    units of 1e-4) for the run pair (a, b), given as row indices.  The result
+    depends only on the pair, never on the process it runs in."""
     a, b = pair
     run_a, run_b = run_tags[a], run_tags[b]
-    ds = [v[a] - v[b] for v in values]
-    spread = [k for k, d in enumerate(ds) if d.std(ddof=1) != 0.0]
-    tested = {}
-    if spread:
+    ds = units[:, a] - units[:, b]
+    varying = np.flatnonzero((ds != ds[:, :1]).any(axis=1)).tolist()
+    asls = {}
+    if varying:
         rng = _pair_rng(seed, run_a, run_b)
-        tested = dict(zip(spread, _bootstrap_asls([ds[k] for k in spread], b_samples, rng)))
+        asls = dict(zip(varying, _bootstrap_asls(ds[varying].T, b_samples, rng)))
+    sqrt_n = math.sqrt(ds.shape[1])
     row = []
     for k, d in enumerate(ds):
-        if k in tested:
-            t_obs, asl = tested[k]
+        if k in asls:
+            # The paired t over the scores as printed: units / 1e4 is the
+            # float that a 4-decimal table parses to.
+            diff = units[k, a] / _UNITS - units[k, b] / _UNITS
+            t_obs = float(diff.mean() / (diff.std(ddof=1) / sqrt_n))
+            asl = asls[k]
             significant = asl < alpha
         else:
-            mean = d.mean()
-            t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
-            significant = mean != 0.0
+            shift = int(d[0])
+            t_obs = math.copysign(math.inf, shift) if shift else 0.0
+            significant = shift != 0
             asl = 0.0 if significant else 1.0
         row.append(PairTest(run_a, run_b, t_obs, asl, significant))
     return row
@@ -233,12 +276,16 @@ def discriminative_powers(
 ) -> tuple[DPReport, ...]:
     """Paired-bootstrap test over every unordered run pair, per score table.
 
-    For each pair the per-topic score differences give an observed
-    studentized mean; the ASL is the fraction of seeded bootstrap resamples
-    (of the centered differences) at least as extreme.  A pair is
-    discriminated when ASL < alpha.  Pairs whose differences have zero
-    spread skip the bootstrap: they are significant iff the mean difference
-    is nonzero.
+    Every score is first rounded to an integer number of 1e-4 units, the
+    precision the score tables print, so a call on ``score_runs`` output
+    gives the same reports as ``analyze`` on the printed tables.  For each
+    pair the per-topic differences give an observed studentized mean; the
+    ASL is the fraction of seeded bootstrap resamples (of the centered
+    differences) at least as extreme, decided exactly in integers (see
+    ``_bootstrap_asls``).  A pair is discriminated when ASL < alpha.  Pairs
+    whose differences are constant skip the bootstrap: they are significant
+    iff the difference is nonzero.  The topic count must stay below
+    ``_MAX_TOPICS``, where the integer test would leave int64.
 
     The tables must share their runs and topics.  A pair's resamples depend
     only on the seed, the two run tags and the topic count, so each pair's
@@ -269,10 +316,16 @@ def discriminative_powers(
         raise ConfigError("alpha must lie strictly between 0 and 1")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
+    if len(m.topic_ids) >= _MAX_TOPICS:
+        raise ConfigError(
+            f"discriminative power supports fewer than {_MAX_TOPICS} topics, "
+            f"got {len(m.topic_ids)}"
+        )
+    units = np.stack([np.rint(table.values * _UNITS).astype(np.int64) for table in matrices])
     pairs = list(itertools.combinations(range(len(m.run_tags)), 2))
     task = functools.partial(
         _pair_tests,
-        values=[table.values for table in matrices],
+        units=units,
         run_tags=m.run_tags,
         b_samples=b_samples,
         alpha=alpha,

@@ -156,7 +156,8 @@ class Settings:
         """The schema at ``path``.  The config may name only its aspects (in
         ``[importance]`` and ``[<prefix>.<aspect>]``) and their labels (the
         keys of ``[gains.<aspect>]``, the ``labels`` of ``[relevant.<aspect>]``
-        and the values of ``[merge.<aspect>]``)."""
+        and the values of ``[merge.<aspect>]``).  A ``[relevant.<aspect>]``
+        section must name at least one label."""
         schema = parse_schema(_read(path))
         labels = {a.name: a.labels for a in schema.aspects}
         for section in self.parser.sections():
@@ -175,6 +176,8 @@ class Settings:
                     "relevant": table.get("labels", "").split(),
                     "merge": table.values(),
                 }[prefix]
+                if prefix == "relevant" and not names:
+                    raise ConfigError(f"[{section}] labels names no label of {aspect!r}")
                 for name in names:
                     if name not in labels[aspect]:
                         raise _unknown("label", name, labels[aspect], where)

@@ -190,6 +190,42 @@ def ref_pair_rng(seed, run_a, run_b):
     return np.random.default_rng(np.random.SeedSequence([seed, digest(lo), digest(hi)]))
 
 
+def ref_units(scores):
+    """Scores as integers in units of 1e-4, the printed precision."""
+    return [round(v * 10000) for v in scores]
+
+
+def ref_bootstrap_asl(units, b_samples, rng):
+    """ASL of one vector of integer differences (units of 1e-4), resample by
+    resample in Python ints, from one (B, n) index block.
+
+    For values x with sum S and sum of squares Q, t = mean / sqrt(var / n)
+    and var = (nQ - S^2) / (n (n - 1)) give t^2 = (n - 1) S^2 / (nQ - S^2).
+    A resample of the centered differences has sum s1 - S and, shifts
+    leaving the spread alone, t*^2 = (n - 1) (s1 - S)^2 / (n s2 - s1^2),
+    where s1 and s2 are the sums of the drawn raw differences and of their
+    squares.  Clearing the positive denominators, |t*| >= |t| exactly when
+    (s1 - S)^2 (nQ - S^2) >= S^2 (n s2 - s1^2).  A constant resample has
+    t* = 0 when its mean is 0 (s1 = S) and an unbounded t* otherwise.  The
+    int64 resample sums are exact: every term is an integer far below 2^63.
+    """
+    n = len(units)
+    d = np.asarray(units, dtype=np.int64)
+    total, squares = int(d.sum()), int((d * d).sum())
+    spread = n * squares - total * total
+    idx = rng.integers(0, n, size=(b_samples, n))
+    hits = 0
+    for s1, s2 in zip(d[idx].sum(axis=1).tolist(), (d * d)[idx].sum(axis=1).tolist()):
+        mean_shift = s1 - total
+        sample_spread = n * s2 - s1 * s1
+        if sample_spread == 0:
+            hit = mean_shift != 0 or total == 0
+        else:
+            hit = mean_shift * mean_shift * spread >= total * total * sample_spread
+        hits += hit
+    return hits / b_samples
+
+
 def ref_dp(table, b_samples, alpha, seed):
     """Per-pair (t, asl, significant) rows plus the significant percentage."""
     _, runs, topics, cells = table
@@ -198,86 +234,44 @@ def ref_dp(table, b_samples, alpha, seed):
     for i in range(len(runs)):
         for j in range(i + 1, len(runs)):
             run_a, run_b = runs[i], runs[j]
-            d = [cells[(run_a, t)] - cells[(run_b, t)] for t in topics]
-            mean = sum(d) / n
-            var = sum((v - mean) ** 2 for v in d) / (n - 1)
-            if var == 0.0:
-                t_obs = math.copysign(math.inf, mean) if mean else 0.0
-                asl = 0.0 if mean else 1.0
-                significant = mean != 0.0
+            units_a = ref_units(cells[(run_a, t)] for t in topics)
+            units_b = ref_units(cells[(run_b, t)] for t in topics)
+            units = [x - y for x, y in zip(units_a, units_b)]
+            if len(set(units)) == 1:
+                t_obs = math.copysign(math.inf, units[0]) if units[0] else 0.0
+                asl = 0.0 if units[0] else 1.0
+                significant = units[0] != 0
             else:
+                d = [cells[(run_a, t)] - cells[(run_b, t)] for t in topics]
+                mean = sum(d) / n
+                var = sum((v - mean) ** 2 for v in d) / (n - 1)
                 t_obs = mean / math.sqrt(var / n)
-                w = [v - mean for v in d]
-                idx = ref_pair_rng(seed, run_a, run_b).integers(
-                    0, n, size=(b_samples, n)
-                ).tolist()
-                hits = 0
-                for row in idx:
-                    sample = [w[p] for p in row]
-                    m = sum(sample) / n
-                    s_var = sum((v - m) ** 2 for v in sample) / (n - 1)
-                    if s_var == 0.0:
-                        t_star = 0.0 if m == 0.0 else math.inf
-                    else:
-                        t_star = m / math.sqrt(s_var / n)
-                    if abs(t_star) >= abs(t_obs):
-                        hits += 1
-                asl = hits / b_samples
+                asl = ref_bootstrap_asl(units, b_samples, ref_pair_rng(seed, run_a, run_b))
                 significant = asl < alpha
             rows.append((run_a, run_b, t_obs, asl, significant))
     percentage = 100.0 * sum(1 for r in rows if r[4]) / len(rows)
     return rows, percentage
 
 
-def ref_bootstrap_asl(d, b_samples, rng):
-    """The bootstrap kernel as first written: whole (block, n) index arrays of
-    up to 2e6 elements, a fancy-index gather, then ``mean`` and
-    ``std(ddof=1)``.  The package's blocked kernel must equal it with ``==``.
-    """
-    n = len(d)
-    mean = d.mean()
-    sd = d.std(ddof=1)
-    sqrt_n = math.sqrt(n)
-    t_obs = mean / (sd / sqrt_n)
-    w = d - mean
-    hits = 0
-    chunk = max(1, 2_000_000 // n)
-    remaining = b_samples
-    while remaining > 0:
-        block = min(chunk, remaining)
-        idx = rng.integers(0, n, size=(block, n))
-        samples = w[idx]
-        sample_mean = samples.mean(axis=1)
-        sample_sd = samples.std(axis=1, ddof=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_star = sample_mean / (sample_sd / sqrt_n)
-        # A constant resample has sd 0: its statistic is 0 when the mean is
-        # also 0 and unboundedly extreme otherwise.
-        t_star = np.where(
-            sample_sd == 0.0,
-            np.where(sample_mean == 0.0, 0.0, np.inf),
-            t_star,
-        )
-        hits += int(np.count_nonzero(np.abs(t_star) >= abs(t_obs)))
-        remaining -= block
-    return float(t_obs), hits / b_samples
-
-
 def ref_discriminative_power(m, b_samples, alpha, seed):
-    """The per-table loop as first written, over a matrix's ``values`` rows
-    and ``run_tags``: one (run_a, run_b, t, asl, significant) row per pair,
-    each bootstrapped pair drawing its own index stream."""
+    """The per-table loop over a matrix's ``values`` rows and ``run_tags``,
+    read at 4 decimals: one (run_a, run_b, t, asl, significant) row per
+    pair, each bootstrapped pair drawing its own index stream.  The t of a
+    tested pair is ``np.mean`` over ``np.std(ddof=1)`` of the rounded scores'
+    differences."""
     rows = []
     for a, b in itertools.combinations(range(len(m.run_tags)), 2):
         run_a, run_b = m.run_tags[a], m.run_tags[b]
-        d = m.values[a] - m.values[b]
-        if d.std(ddof=1) == 0.0:
-            mean = d.mean()
-            t_obs = math.copysign(math.inf, mean) if mean != 0.0 else 0.0
-            significant = mean != 0.0
+        units_a, units_b = ref_units(m.values[a]), ref_units(m.values[b])
+        units = [x - y for x, y in zip(units_a, units_b)]
+        if len(set(units)) == 1:
+            t_obs = math.copysign(math.inf, units[0]) if units[0] else 0.0
+            significant = units[0] != 0
             asl = 0.0 if significant else 1.0
         else:
-            t_obs, asl = ref_bootstrap_asl(d, b_samples, ref_pair_rng(seed, run_a, run_b))
+            d = np.array(units_a) / 10000 - np.array(units_b) / 10000
+            t_obs = float(d.mean() / (d.std(ddof=1) / math.sqrt(len(d))))
+            asl = ref_bootstrap_asl(units, b_samples, ref_pair_rng(seed, run_a, run_b))
             significant = asl < alpha
         rows.append((run_a, run_b, t_obs, asl, significant))
     return rows

@@ -3,12 +3,16 @@ bootstrap against a straight-line reimplementation sharing its RNG draws, and
 the two audit reports on a small hand-checked fixture."""
 
 import concurrent.futures
+import functools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aspecteval import (
@@ -27,7 +31,7 @@ from aspecteval import (
 from aspecteval import analysis
 from aspecteval.analysis import _BLOCK_ELEMENTS, _bootstrap_asls, _pair_rng
 from conftest import run_of
-from reference_impl import ref_bootstrap_asl, ref_discriminative_power
+from reference_impl import ref_bootstrap_asl, ref_discriminative_power, ref_units
 
 
 def tau_b_oracle(x, y):
@@ -182,24 +186,27 @@ def test_correlation_requires_aligned_matrices():
 
 
 def naive_bootstrap(d, b_samples, rng):
-    """Loop-and-list reimplementation drawing the same index block."""
+    """Loop-and-list reimplementation drawing the same index block, with the
+    studentized means in exact rationals over the differences at 4
+    decimals."""
     n = len(d)
-    mean = sum(d) / n
-    sd = math.sqrt(sum((v - mean) ** 2 for v in d) / (n - 1))
-    t_obs = mean / (sd / math.sqrt(n))
-    w = [v - mean for v in d]
+    x = [Fraction(round(v * 10000), 10000) for v in d]
+    mean = sum(x) / n
+    var = sum((v - mean) ** 2 for v in x) / (n - 1)
+    t_obs = float(mean) / math.sqrt(float(var) / n)
+    w = [v - mean for v in x]
     idx = rng.integers(0, n, size=(b_samples, n))
     hits = 0
     for row in idx:
         sample = [w[i] for i in row]
         m = sum(sample) / n
-        var = sum((v - m) ** 2 for v in sample) / (n - 1)
-        if var == 0.0:
-            t_star = 0.0 if m == 0.0 else math.inf
+        s_var = sum((v - m) ** 2 for v in sample) / (n - 1)
+        # |t*| >= |t_obs|, squared; a constant resample has t* = 0 when its
+        # mean is 0 and an unbounded t* otherwise
+        if s_var == 0:
+            hits += m != 0 or mean == 0
         else:
-            t_star = m / (math.sqrt(var) / math.sqrt(n))
-        if abs(t_star) >= abs(t_obs):
-            hits += 1
+            hits += m * m * n / s_var >= mean * mean * n / var
     return t_obs, hits / b_samples
 
 
@@ -210,7 +217,7 @@ def dp_matrix():
     cells = {}
     for tag, lift in (("runA", 0.0), ("runB", 0.12), ("runC", 0.02)):
         for t in topics:
-            cells[(tag, t)] = min(1.0, max(0.0, rng.uniform(0.2, 0.6) + lift))
+            cells[(tag, t)] = round(min(1.0, max(0.0, rng.uniform(0.2, 0.6) + lift)), 4)
     return matrix("X", cells)
 
 
@@ -240,10 +247,13 @@ def test_blocked_bootstrap_equals_the_unblocked_oracle():
         assert zero_mean.mean() == 0.0
         block = _BLOCK_ELEMENTS // n
         for d in (four_decimals, tied, zero_mean):
+            units = ref_units(d)
             for b in (1, block - 1, block, block + 1, 3 * block + 7, 10_000):
-                got = _bootstrap_asls([d], b, np.random.default_rng([n, b]))[0]
-                want = ref_bootstrap_asl(d, b, np.random.default_rng([n, b]))
-                assert got == want, (n, b)
+                got = _bootstrap_asls(
+                    np.array(units)[:, None], b, np.random.default_rng([n, b])
+                )
+                want = ref_bootstrap_asl(units, b, np.random.default_rng([n, b]))
+                assert got == [want], (n, b)
 
 
 def dp_tables(n, count=10, runs=5):
@@ -352,12 +362,22 @@ def pool_mode(request, monkeypatch):
     return cpus, pooled, opened
 
 
-def assert_equals_the_oracle(reports, tables, b, alpha, seed):
+def assert_equals_the_oracle(reports, tables, b, alpha, seed, want=None):
+    """``want``: the oracle rows of ``tables``, when computed beforehand."""
+    if want is None:
+        want = [ref_discriminative_power(table, b, alpha, seed) for table in tables]
     assert [r.measure for r in reports] == [m.measure for m in tables]
-    for report, table in zip(reports, tables):
+    for report, rows in zip(reports, want):
         got = [(p.run_a, p.run_b, p.t, p.asl, p.significant) for p in report.pairs]
-        assert got == ref_discriminative_power(table, b, alpha, seed), report.measure
+        assert got == rows, report.measure
         assert (report.b_samples, report.alpha, report.seed) == (b, alpha, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def dp_tables_oracle(n, runs, b, alpha, seed):
+    """The oracle rows of every table of ``dp_tables(n, runs=runs)``, computed
+    once for all pool modes."""
+    return [ref_discriminative_power(m, b, alpha, seed) for m in dp_tables(n, runs=runs)]
 
 
 def test_pooled_dp_equals_the_per_table_oracle(pool_mode):
@@ -368,10 +388,11 @@ def test_pooled_dp_equals_the_per_table_oracle(pool_mode):
     for runs, n in ((5, 3), (6, 3), (5, 129), (7, 129)):
         tables = dp_tables(n, runs=runs)
         for b in (1, _BLOCK_ELEMENTS // n + 1, 1000):
+            want = dp_tables_oracle(n, runs, b, alpha, seed)
             for size in (1, 2, 3, 10):
                 opened.clear()
                 reports = discriminative_powers(tables[:size], b, alpha, seed)
-                assert_equals_the_oracle(reports, tables[:size], b, alpha, seed)
+                assert_equals_the_oracle(reports, tables[:size], b, alpha, seed, want[:size])
                 # more pairs than CPUs: one worker per CPU
                 assert opened == ([(cpus, "fork")] if pooled else [])
 
@@ -445,6 +466,91 @@ def test_dp_constant_shift_is_always_discriminated():
     assert pair.asl == 0.0
     assert pair.significant
     assert report.percentage == 100.0
+
+
+def test_dp_constant_non_dyadic_shift_is_always_discriminated():
+    # As floats, 0.1 - 0.3 and 0.5 - 0.7 differ in the last bits; at the
+    # printed precision every difference is -0.2.
+    a = {"1": 0.1, "2": 0.3, "3": 0.5, "4": 0.2}
+    b = {"1": 0.3, "2": 0.5, "3": 0.7, "4": 0.4}
+    cells = {("a", t): s for t, s in a.items()} | {("b", t): s for t, s in b.items()}
+    report = discriminative_powers([matrix("X", cells)], b_samples=1000, alpha=0.001, seed=1)[0]
+    (pair,) = report.pairs
+    assert (pair.t, pair.asl, pair.significant) == (-math.inf, 0.0, True)
+
+
+def test_dp_rejects_a_topic_count_past_the_int64_bound(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew resamples")
+
+    monkeypatch.setattr(analysis, "_pair_rng", no_draws)
+    n = analysis._MAX_TOPICS
+    values = np.zeros((2, n))
+    values[1, 0] = 0.5  # a pair with spread, which would be bootstrapped
+    m = ScoreMatrix("X", ("a", "b"), tuple(f"t{j:06d}" for j in range(n)), values)
+    with pytest.raises(ConfigError, match=f"fewer than {n} topics, got {n}"):
+        discriminative_powers([m], 10, 0.05, 0)
+
+
+@st.composite
+def tied_differences(draw, n):
+    """One run pair's differences over n topics (units of 1e-4), drawn from a
+    few values so that resamples tie.  Some are mirrored about a centre c,
+    so that their mean is c: 0 (S = 0), or a drawn value, which a constant
+    resample can then equal."""
+    palette = draw(st.lists(st.integers(-10_000, 10_000), min_size=2, max_size=4, unique=True))
+    units = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["free", "zero-sum", "mean-drawn"]))
+    if mode != "free":
+        c = 0 if mode == "zero-sum" else draw(st.sampled_from(palette))
+        bound = 10_000 - abs(c)
+        offsets = [max(-bound, min(bound, u - c)) for u in units[: n // 2]]
+        units = [c + o for o in offsets] + [c - o for o in offsets] + [c] * (n % 2)
+    if len(set(units)) == 1:  # never constant
+        units[0] = -units[0] or 1
+    return units
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_bootstrap_equals_the_int_oracle_on_tied_vectors(data):
+    n = data.draw(st.integers(2, 40))
+    columns = data.draw(st.lists(tied_differences(n), min_size=1, max_size=3))
+    rows, chunk = analysis._block_rows(n, len(columns))
+    b = data.draw(st.sampled_from(
+        [1, 2, rows - 1, rows, rows + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + rows + 3]
+    ))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    got = _bootstrap_asls(np.array(columns).T, b, np.random.default_rng(seed))
+    want = [ref_bootstrap_asl(c, b, np.random.default_rng(seed)) for c in columns]
+    assert got == want
+    for c, asl in zip(columns, got):
+        if sum(c) == 0:  # t_obs = 0: every resample is as extreme
+            assert asl == 1.0
+
+
+@pytest.mark.parametrize(
+    "units,expected",
+    [
+        # Constant resamples hit (E = +-1, V = 0); the mixed ones repeat the
+        # sample (E = 0) and miss: 2 of 4.
+        ([1, 0], 0.5),
+        # S = 0: every resample hits, the constant ones too.
+        ([3, -3], 1.0),
+        # Two ones of three are as extreme as the sample, |t*| = |t_obs|
+        # exactly, and count; only one 1 (E = 0) misses: 15 of 27.
+        ([1, 0, 0], 15 / 27),
+        # The constant resample at the mean, (1, 1, 1), has t* = 0 against a
+        # nonzero t and misses: 8 of 27.
+        ([2, 0, 1], 8 / 27),
+    ],
+    ids=["constant", "zero-sum", "tie", "constant-at-mean"],
+)
+def test_exact_bootstrap_counts_ties_and_constant_resamples(units, expected):
+    b = 4000
+    (got,) = _bootstrap_asls(np.array(units)[:, None], b, np.random.default_rng(5))
+    assert got == ref_bootstrap_asl(units, b, np.random.default_rng(5))
+    assert got == pytest.approx(expected, abs=0.03)
 
 
 def test_dp_alpha_only_moves_the_threshold(dp_matrix):

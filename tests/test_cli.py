@@ -16,7 +16,7 @@ import pytest
 import aspecteval
 from aspecteval import ScoreMatrix
 from aspecteval.cli import KNOWN_KEYS, build_parser, main
-from aspecteval.reports import parse_scores, render_scores
+from aspecteval.reports import parse_scores, render_dp, render_scores
 from conftest import REFERENCE_SCHEMA
 
 QRELS = """\
@@ -404,6 +404,33 @@ def full_analyze(env, out):
     )
 
 
+def test_dp_on_score_runs_output_equals_analyze_on_the_printed_tables(env):
+    runs = env / "runs"
+    (runs / "runC.run").write_text(run_text("runC", {"1": ["d3", "d1", "d2"], "2": ["d2", "d1"]}))
+    (runs / "runD.run").write_text(run_text("runD", {"1": ["dz", "d2"], "2": ["d1", "d2", "d3"]}))
+    assert evaluate(env) == 0
+    assert analyze(env, env / "reports") == 0
+    schema = aspecteval.parse_schema(REFERENCE_SCHEMA)
+    gt, _ = aspecteval.parse_qrels(QRELS, schema)
+    run_files = [aspecteval.parse_run(p.read_text()) for p in sorted(runs.iterdir())]
+    matrices = aspecteval.score_runs(run_files, gt, schema)
+    def data_rows(text):
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    names = ("EUCL-ndcg", "CHEB-ndcg")
+    tables = [matrices[name] for name in names]
+    texts = [(env / "out" / f"scores_{name}.tsv").read_text() for name in names]
+    for table, text in zip(tables, texts):
+        assert data_rows(render_scores(table)) == data_rows(text)
+    printed = [parse_scores(text) for text in texts]
+    assert any((t.values != p.values).any() for t, p in zip(tables, printed))
+    reports = aspecteval.discriminative_powers(tables, 200, 0.01, 42)
+    assert reports == aspecteval.discriminative_powers(printed, 200, 0.01, 42)
+    for report in reports:
+        written = (env / "reports" / f"dp_{report.measure}.tsv").read_text()
+        assert data_rows(render_dp(report)) == data_rows(written)
+
+
 def test_analyze_end_to_end(env):
     assert evaluate(env) == 0
     out = env / "reports"
@@ -714,6 +741,17 @@ def test_unknown_config_names_exit_2_with_a_hint(env, capsys, ini, message):
     (env / "eval.ini").write_text(ini)
     assert evaluate(env, "--config", str(env / "eval.ini")) == 2
     assert message in capsys.readouterr().err
+    assert not (env / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["labels =\n", "labels = # none\n", ""], ids=["empty", "comment", "no-key"])
+def test_relevant_labels_must_name_a_label(env, capsys, section):
+    # with no relevant grade, every CAM-ap and MM-ap score would be 0
+    ini = CONFIG.replace("[relevant.correctness]\nlabels = c\n", f"[relevant.correctness]\n{section}")
+    assert ini != CONFIG
+    (env / "eval.ini").write_text(ini)
+    assert evaluate(env, "--config", str(env / "eval.ini")) == 2
+    assert "[relevant.correctness] labels names no label of 'correctness'" in capsys.readouterr().err
     assert not (env / "out").exists()
 
 
