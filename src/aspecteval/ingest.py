@@ -4,7 +4,10 @@ discretizers that turn continuous signals into graded aspect columns."""
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -55,10 +58,17 @@ class RunFile:
 
 
 def _iter_lines(text: str) -> Iterable[tuple[int, str]]:
+    """(line number, stripped line) of every line that is neither blank nor
+    a ``#`` comment; ``_content_lines`` keeps the same lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
+        if line and line[0] != "#":
             yield lineno, line
+
+
+def _content_lines(text: str) -> list[str]:
+    """The lines ``_iter_lines`` yields, without their numbers."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def _parse_score(token: str, lineno: int) -> float:
@@ -72,44 +82,78 @@ def _parse_score(token: str, lineno: int) -> float:
     return score
 
 
+def _first_run_error(text: str) -> ParseError:
+    """The error of the first bad line of a run file that failed a column
+    check.  The lines are checked in file order, each check in the order a
+    line-by-line parse makes them, so the message and line number name the
+    line that such a parse would stop at."""
+    seen: set[tuple[str, str]] = set()
+    run_tag: str | None = None
+    for lineno, line in _iter_lines(text):
+        parts = line.split()
+        if len(parts) != 6:
+            return ParseError(f"expected 6 fields, got {len(parts)}", lineno)
+        topic, _q0, doc, rank_s, score_s, tag = parts
+        try:
+            int(rank_s)
+        except ValueError:
+            return ParseError(f"non-integer rank {rank_s!r}", lineno)
+        try:
+            _parse_score(score_s, lineno)
+        except ParseError as exc:
+            return exc
+        if run_tag is None:
+            run_tag = tag
+        elif tag != run_tag:
+            return MixedRunTag(f"run tag changes from {run_tag!r} to {tag!r}", lineno)
+        if (topic, doc) in seen:
+            return DuplicateDoc(f"doc {doc!r} repeated for topic {topic!r}", lineno)
+        seen.add((topic, doc))
+    raise AssertionError("a column check failed on a run file whose every line passes")
+
+
 def parse_run(text: str, honor_rank: bool = False) -> RunFile:
     """Parse the standard six-column run format ``topic Q0 docid rank score tag``.
 
     Entries are ordered by score descending with doc_id breaking ties, so a
     shuffled file parses to the same run.  Pass ``honor_rank=True`` to order
     by the rank column instead.
+
+    The file is read as columns: each check runs over a whole column, and
+    only a file that fails one is walked line by line, to report its first
+    bad line.
     """
-    # (sort key, doc, score) rows: docs are unique, so scores never tie-break
-    rows: dict[str, list[tuple[float, str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
-    run_tag: str | None = None
-    for lineno, line in _iter_lines(text):
-        parts = line.split()
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 fields, got {len(parts)}", lineno)
-        topic, _q0, doc, rank_s, score_s, tag = parts
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise ParseError(f"non-integer rank {rank_s!r}", lineno) from None
-        score = _parse_score(score_s, lineno)
-        if run_tag is None:
-            run_tag = tag
-        elif tag != run_tag:
-            raise MixedRunTag(
-                f"run tag changes from {run_tag!r} to {tag!r}", lineno
-            )
-        if (topic, doc) in seen:
-            raise DuplicateDoc(f"doc {doc!r} repeated for topic {topic!r}", lineno)
-        seen.add((topic, doc))
-        rows.setdefault(topic, []).append((rank if honor_rank else -score, doc, score))
-    if run_tag is None:
+    lines = _content_lines(text)
+    if not lines:
         raise ParseError("run file contains no entries")
-    topics, scores = {}, {}
-    for t, rs in sorted(rows.items()):
-        rs.sort()
-        _, topics[t], scores[t] = zip(*rs)
-    return RunFile(run_tag, topics, scores)
+    if set(map(len, map(str.split, lines))) != {6}:
+        raise _first_run_error(text)
+    tokens = " ".join(lines).split()
+    topics, docs, tags = tokens[0::6], tokens[2::6], tokens[5::6]
+    try:
+        ranks = list(map(int, tokens[3::6]))
+        scores = list(map(float, tokens[4::6]))
+    except ValueError:
+        raise _first_run_error(text) from None
+    if not all(map(math.isfinite, scores)) or tags.count(tags[0]) != len(tags):
+        raise _first_run_error(text)
+    keys = ranks if honor_rank else list(map(operator.neg, scores))
+    # Sort by (topic, key, doc), unless the file already lists its entries
+    # in that order; stable passes from the last key to the first.
+    if not all(map(operator.lt, zip(topics, keys, docs), islice(zip(topics, keys, docs), 1, None))):
+        order = sorted(range(len(docs)), key=docs.__getitem__)
+        order.sort(key=keys.__getitem__)
+        order.sort(key=topics.__getitem__)
+        topics, docs, scores = (list(map(col.__getitem__, order)) for col in (topics, docs, scores))
+    by_topic, by_score, start = {}, {}, 0
+    for topic, count in Counter(topics).items():  # topics ascending, as sorted
+        end = start + count
+        by_topic[topic], by_score[topic] = tuple(docs[start:end]), tuple(scores[start:end])
+        start = end
+    try:
+        return RunFile(tags[0], by_topic, by_score)
+    except DuplicateDoc:  # RunFile checks each topic's doc ids
+        raise _first_run_error(text) from None
 
 
 def serialize_run(run: RunFile) -> str:
@@ -179,6 +223,7 @@ def parse_qrels(
 
     entries: dict[tuple[str, str], LabelTuple] = {}
     corrections = 0
+    grade_of: dict[tuple[int, str], int] = {}  # (aspect, token) -> grade, resolved once
     for lineno, line in _iter_lines(text):
         parts = line.split()
         if len(parts) < 4:
@@ -191,9 +236,11 @@ def parse_qrels(
             )
         if (topic, doc) in entries:
             raise DuplicateDoc(f"doc {doc!r} judged twice for topic {topic!r}", lineno)
-        indices = [
-            _resolve_grade(tok, i, schema, merge, lineno) for i, tok in enumerate(grades)
-        ]
+        indices = []
+        for key in enumerate(grades):
+            if key not in grade_of:
+                grade_of[key] = _resolve_grade(key[1], key[0], schema, merge, lineno)
+            indices.append(grade_of[key])
         indices.extend(0 for _ in range(schema.n_aspects - len(indices)))
         fixed, n = apply_rules(tuple(indices), schema)
         corrections += n
@@ -219,6 +266,7 @@ def join_aspect_qrels(
     for name, text in sorted(per_aspect.items()):
         idx = schema.aspect_index(name)
         seen: set[tuple[str, str]] = set()
+        grade_of: dict[str, int] = {}  # token -> grade, resolved once
         for lineno, line in _iter_lines(text):
             parts = line.split()
             if len(parts) != 4:
@@ -231,8 +279,9 @@ def join_aspect_qrels(
                     f"doc {doc!r} judged twice for topic {topic!r} in {name!r}", lineno
                 )
             seen.add((topic, doc))
-            grade = _resolve_grade(token, idx, schema, merge, lineno)
-            partial.setdefault((topic, doc), [0] * schema.n_aspects)[idx] = grade
+            if token not in grade_of:
+                grade_of[token] = _resolve_grade(token, idx, schema, merge, lineno)
+            partial.setdefault((topic, doc), [0] * schema.n_aspects)[idx] = grade_of[token]
     entries: dict[tuple[str, str], LabelTuple] = {}
     corrections = 0
     for key in sorted(partial):

@@ -5,9 +5,10 @@ linear gains and binary average precision), together with two per-aspect
 aggregation baselines: the weighted arithmetic mean over per-aspect scores
 and the weighted harmonic mean.
 
-``score_runs`` scores a whole run set: per topic it builds one gain matrix
-(a row per judged doc, a column per weight assignment and per aspect) and
-gathers every run's ranking from it at once.  The scalar scorers
+``score_runs`` scores a whole run set in blocks of topics: per block it builds
+one zero-padded gain tensor (a row per judged doc of each topic, a column per
+weight assignment and per aspect) and gathers every run's ranking on every
+topic of the block from it at once.  The scalar scorers
 (``order_score``, ``cam_score``, ``mm_score`` and the ``ndcg`` and
 ``average_precision`` they call) score one ranking at a time; they are the
 reference that ``score_runs`` equals on every cell.
@@ -23,7 +24,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DuplicateDoc, WeightError
-from .order import Metric, WeightAssignment, assign_weights, build_order
+from .order import DistanceOrder, Metric, WeightAssignment, assign_weights, build_order
 from .schema import Aspect, AspectSchema, GroundTruth, LabelTuple, build_tuple_space
 
 NDCG = "ndcg"
@@ -34,6 +35,12 @@ TABLE = "table"
 
 _IMPORTANCE_TOL = 1e-9
 _SCORE_SLACK = 1e-9
+# Gathered gains (topics x runs x ranks x columns) per block of topics that
+# ``score_runs`` scores at once.  Larger blocks pay numpy's per-call cost less
+# often, but each of a block's temporaries holds this many floats: scoring
+# all 100 topics of the benchmark's shallow-many workload in one block
+# raised the evaluate process's peak RSS from 39.8 to 42.2 MB.
+_BLOCK_ELEMENTS = 8 * 1024
 
 
 def check_distinct(topic_id: str, doc_ids: Sequence[str]) -> None:
@@ -159,13 +166,17 @@ def _score(run: RankedList, column: Mapping[str, float], cfg: MeasureConfig) -> 
     return average_precision(run, relevant, len(relevant), cfg.depth)
 
 
+def _class_of(order: DistanceOrder, t: LabelTuple) -> int:
+    try:
+        return order.class_of(t)
+    except KeyError as exc:
+        raise ConfigError(f"judged tuple without a weight: {exc}") from None
+
+
 def _weight_column(
     judged: Mapping[str, LabelTuple], weights: WeightAssignment
 ) -> dict[str, float]:
-    try:
-        return {d: float(weights.of(t)) for d, t in judged.items()}
-    except KeyError as exc:
-        raise ConfigError(f"judged tuple without a weight: {exc}") from None
+    return {d: float(weights.per_class[_class_of(weights.order, t)]) for d, t in judged.items()}
 
 
 def order_score(
@@ -352,66 +363,112 @@ class ScoreMatrix:
         return self.values[:, self.topic_ids.index(topic_id)].tolist()
 
 
-def _gain_matrix(
-    judged: Mapping[str, LabelTuple],
-    weights: Sequence[WeightAssignment],
-    tables: Sequence[Sequence[float]],
-) -> np.ndarray:
-    """Gains of one topic's judged docs: a row per doc in ``judged`` order
-    plus a final zero row, a column per weight assignment (the weight of the
-    doc's class), then a column per aspect table (the gain of its grade).
-    A tuple off the grid or off an order fails as in ``_weight_column``."""
+def _pool_index(
+    judged: Sequence[Mapping[str, LabelTuple]],
+    orders: Sequence[DistanceOrder],
+    grid_shape: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block of topics' judged docs, pooled topic by topic in ``judged``
+    order: their grades as (doc, aspect), their classes as (order, doc), and
+    where they sit in a (topic, row) layout padded with at least one row
+    past every topic's pool.  A tuple off the grid or off an order fails as
+    in ``_weight_column``, naming the first such tuple of the first topic."""
+    pooled = list(itertools.chain.from_iterable(j.values() for j in judged))
     try:
-        grades = np.array(list(judged.values()), dtype=np.int64)
-        cells = np.ravel_multi_index(grades.T, tuple(map(len, tables)))
+        grades = np.array(pooled, dtype=np.int64)
+        cells = np.ravel_multi_index(grades.T, grid_shape)
     except (ValueError, OverflowError, TypeError):
-        for w in weights:
-            _weight_column(judged, w)  # raises, naming the first tuple off the grid
+        _check_placed(judged, orders)
         raise ConfigError("judged tuple off the grade grid") from None
-    gains = np.zeros((len(judged) + 1, len(weights) + len(tables)))
-    for c, w in enumerate(weights):
-        classes = w.order.grid.reshape(-1)[cells]
-        if (classes < 0).any():
-            _weight_column(judged, w)  # raises, naming the first tuple off the order
-        gains[:-1, c] = np.array(w.per_class, dtype=np.float64)[classes]
-    for c, table in enumerate(tables):
-        gains[:-1, len(weights) + c] = np.array(table)[grades[:, c]]
+    classes = np.array([order.grid.reshape(-1)[cells] for order in orders], dtype=np.intp)
+    if (classes < 0).any():
+        _check_placed(judged, orders)
+    sizes = np.array([len(j) for j in judged])
+    return grades, classes, np.arange(sizes.max() + 1) < sizes[:, None]
+
+
+def _check_placed(
+    judged: Sequence[Mapping[str, LabelTuple]], orders: Sequence[DistanceOrder]
+) -> None:
+    """Raise on the first judged tuple, topic by topic, that an order does
+    not place."""
+    for j, order in itertools.product(judged, orders):
+        for t in j.values():
+            _class_of(order, t)
+
+
+def _gain_tensor(
+    placed: np.ndarray,
+    grades: np.ndarray,
+    classes: np.ndarray,
+    class_gains: Sequence[np.ndarray],
+    grade_gains: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Gains of the docs ``_pool_index`` pooled, as (topic, row, column) with
+    zero rows as padding: a column per order (the weight of the doc's class
+    in ``class_gains``), then a column per aspect (the gain of its grade in
+    ``grade_gains``)."""
+    columns = [*map(np.take, class_gains, classes), *map(np.take, grade_gains, grades.T)]
+    gains = np.zeros((*placed.shape, len(columns)))
+    gains[placed] = np.column_stack(columns)
     return gains
 
 
 def _row_indices(
-    judged: Mapping[str, LabelTuple], rankings: Sequence[Sequence[str]], depth: int | None
+    judged: Sequence[Mapping[str, LabelTuple]], rankings: Sequence[Sequence[Sequence[str]]]
 ) -> np.ndarray:
-    """Each ranking cut to ``depth`` as rows of the topic's gain matrix, one
-    ranking per row: -1, the zero row, for unjudged docs and as padding to a
-    common width of at least 1."""
-    row_of = {d: r for r, d in enumerate(judged)}
-    cut = [docs[:depth] for docs in rankings]
-    rows = np.full((len(cut), max([1, *map(len, cut)])), -1, dtype=np.intp)
-    for i, docs in enumerate(cut):
-        rows[i, : len(docs)] = [row_of.get(d, -1) for d in docs]
+    """Each topic's rankings as rows of that topic's judged docs, as (topic,
+    ranking, rank): -1, the zero row past them, for unjudged docs and as
+    padding to a common width of at least 1."""
+    lengths = np.array([list(map(len, per_topic)) for per_topic in rankings], dtype=np.intp)
+    rows = np.full((*lengths.shape, lengths.max(initial=1)), -1, dtype=np.intp)
+    row_of = (dict(zip(pool, itertools.count())).get for pool in judged)
+    rows[np.arange(rows.shape[2]) < lengths[..., None]] = list(
+        itertools.chain.from_iterable(
+            map(get, itertools.chain(*per_topic), itertools.repeat(-1))
+            for get, per_topic in zip(row_of, rankings)
+        )
+    )
     return rows
 
 
-def _scores(gains: np.ndarray, rows: np.ndarray, cfg: MeasureConfig) -> np.ndarray:
+def _scores(
+    gains: np.ndarray, rows: np.ndarray, cfg: MeasureConfig, discount: np.ndarray
+) -> np.ndarray:
     """``_score`` of every ranking in ``rows`` against every column of
-    ``gains``, as a (rankings, columns) array equal to it to the last bit:
-    the same discounts and divisions, and ``cumsum`` adds from left to right
-    as the scalar loops do.  Padding adds +0.0 to a non-negative sum."""
-    gathered = gains[rows]  # rankings x width x columns
-    width = rows.shape[1]
+    ``gains``, as a (topic, ranking, column) array equal to it to the last
+    bit: the same discounts and divisions, and ``cumsum`` adds from left to
+    right as the scalar loops do.  Padding adds +0.0 to a non-negative sum.
+    ``discount`` holds ``_discount`` of ranks 1, 2, ... as a column, at
+    least as many as a ranking or a topic's pool is long."""
+    gathered = gains[np.arange(len(gains))[:, None, None], rows]  # topic x ranking x rank x column
+    width = rows.shape[2]
     if cfg.kind == NDCG:
-        ideal_gains = np.sort(gains[:-1], axis=0)[::-1][: cfg.depth]
-        n = max(width, len(ideal_gains))
-        discount = np.array([_discount(i) for i in range(1, n + 1)])[:, None]
-        ideal = np.cumsum(ideal_gains / discount[: len(ideal_gains)], axis=0)[-1]
-        run = np.cumsum(gathered / discount[:width], axis=1)[:, -1]
+        ideal_gains = np.sort(gains[:, :-1], axis=1)[:, ::-1][:, : cfg.depth]
+        ideal = np.cumsum(ideal_gains / discount[: ideal_gains.shape[1]], axis=1)[:, None, -1]
+        run = np.cumsum(gathered / discount[:width], axis=2)[:, :, -1]
         return np.divide(run, ideal, out=np.zeros_like(run), where=ideal != 0.0)
     hit = gathered != 0.0
     rank = np.arange(1, width + 1)[:, None]
-    acc = np.cumsum(np.where(hit, np.cumsum(hit, axis=1) / rank, 0.0), axis=1)[:, -1]
-    relevant = np.count_nonzero(gains[:-1], axis=0)
+    acc = np.cumsum(np.where(hit, np.cumsum(hit, axis=2) / rank, 0.0), axis=2)[:, :, -1]
+    relevant = np.count_nonzero(gains[:, :-1], axis=1)[:, None]
     return np.divide(acc, relevant, out=np.zeros_like(acc), where=relevant != 0)
+
+
+def _cam_mm(
+    p: Sequence[float], mu: np.ndarray, variant: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_cam`` and ``_mm`` of every row of aspect scores ``mu`` (aspects on
+    the last axis), equal to them to the last bit: the terms are added in
+    aspect order starting from 0.0, as ``left_sum`` adds them."""
+    cam, inverse = np.zeros(mu.shape[:-1]), np.zeros(mu.shape[:-1])
+    zero = (mu == 0.0).any(axis=-1)
+    safe = np.where(mu == 0.0, 1.0, mu)  # rows with a zero score are 0 below
+    for a, pa in enumerate(p):
+        cam = cam + pa * mu[..., a]
+        inverse = inverse + (pa if variant == CANONICAL else 1.0) / safe[..., a]
+    top = left_sum(p) if variant == CANONICAL else 1.0
+    return cam, np.where(zero, 0.0, top / inverse)
 
 
 def runs_by_tag(runs: Iterable) -> dict[str, object]:
@@ -462,20 +519,34 @@ def score_runs(
     setups = []
     for cfg, cfg_tables in zip(cfgs, tables):
         policy = weight_policy if cfg.kind == NDCG else "binary"
-        weights = [assign_weights(orders[m], policy) for m in metrics]
-        setups.append((cfg, weights, cfg_tables))
+        class_gains = [
+            np.array(assign_weights(orders[m], policy).per_class, dtype=np.float64) for m in metrics
+        ]
+        setups.append((cfg, class_gains, [np.array(t) for t in cfg_tables]))
     n = len(metrics)
+    judged = [gt.judged(topic) for topic in topics]
+    run_topics = [by_tag[t].topics for t in tags]
+    metric_orders = [orders[m] for m in metrics]
+    # Topics per block, from the widest ranking and the largest pool
+    longest = max([1, *(max(map(len, rt.values()), default=1) for rt in run_topics)])
+    width = longest if depth is None else min(depth, longest)
+    pool = max(map(len, judged)) + 1
+    block = max(1, _BLOCK_ELEMENTS // (max(len(tags) * width, pool) * (n + len(schema.aspects))))
+    discount = np.array([_discount(i) for i in range(1, max(width, pool) + 1)])[:, None]
     # values[k, c, i, j]: kind kinds[k], column c (the metrics, then CAM and
     # MM), run tags[i], topic topics[j]
     values = np.empty((len(kinds), n + 2, len(tags), len(topics)))
-    for j, topic in enumerate(topics):
-        judged = gt.judged(topic)
-        rows = _row_indices(judged, [by_tag[t].topics.get(topic, ()) for t in tags], depth)
-        for k, (cfg, weights, tables) in enumerate(setups):
-            scores = _scores(_gain_matrix(judged, weights, tables), rows, cfg)
-            values[k, :n, :, j] = scores[:, :n].T
-            for i, mu in enumerate(scores[:, n:].tolist()):
-                values[k, n:, i, j] = _cam(p, mu), _mm(p, mu, mm_variant)
+    for start in range(0, len(topics), block):
+        part = slice(start, start + block)
+        rankings = [[rt.get(topic, ())[:depth] for rt in run_topics] for topic in topics[part]]
+        rows = _row_indices(judged[part], rankings)
+        grades, classes, placed = _pool_index(judged[part], metric_orders, schema.grid_shape)
+        for k, (cfg, class_gains, grade_gains) in enumerate(setups):
+            gains = _gain_tensor(placed, grades, classes, class_gains, grade_gains)
+            scores = _scores(gains, rows, cfg, discount)  # topic x run x column
+            cam, mm = _cam_mm(p, scores[..., n:], mm_variant)
+            values[k, :n, :, part] = scores[..., :n].T
+            values[k, n:, :, part] = cam.T, mm.T
     matrices: dict[str, ScoreMatrix] = {}
     for kind, kind_values in zip(kinds, values):
         labels = [f"{m.short}-{kind}" for m in metrics] + [f"CAM-{kind}", f"MM-{kind}"]

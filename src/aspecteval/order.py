@@ -12,13 +12,13 @@ An order is one key per class and a grid of class indices over the grade
 grid.  The check that it extends Pareto dominance takes a suffix maximum of
 that grid, so it is linear in the grid size; the test suite keeps the dense
 pairwise check as its oracle.  Members and dumps list the grid's cells once;
-a dump reads their labels from one table of every grid cell's label string.
+a dump joins each member's label from a table of label prefixes over all
+aspects but the last and the last aspect's label.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -201,14 +201,28 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
 
 
 def format_order_dump(order: DistanceOrder) -> str:
-    """Render an order as one text line per class, reading the members'
-    labels from a table of every grid cell's label string, in flat order::
+    """Render an order as one text line per class::
 
         class 0 dist 0 : hr,c
         class 1 dist 1 : fr,c;hr,pc
+
+    A member's label is its prefix, the labels of all aspects but the last
+    (read from one table over that smaller grid), then its last label.  Each
+    line joins those pieces, without a string per member.
     """
-    table = [",".join(p) for p in itertools.product(*(a.labels for a in order.schema.aspects))]
+    *head, last = order.schema.aspects
+    prefixes = [""]
+    for aspect in head:
+        prefixes = [p + label + "," for p in prefixes for label in aspect.labels]
     cells, spans = order._cells()
-    names = list(map(table.__getitem__, cells.tolist()))
-    lines = [f"class {i} dist {k} : " + ";".join(names[a:b]) for i, (k, a, b) in enumerate(spans)]
+    prefix, grade = np.divmod(cells, last.n_grades)
+    pieces = np.empty((len(cells), 3), dtype=object)  # prefix, last label, separator
+    pieces[:, 0] = np.array(prefixes, dtype=object)[prefix]
+    pieces[:, 1] = np.array(last.labels, dtype=object)[grade]
+    pieces[:, 2] = ";"
+    flat = pieces.ravel().tolist()
+    lines = [
+        f"class {i} dist {k} : " + "".join(flat[3 * a : 3 * b - 1])
+        for i, (k, a, b) in enumerate(spans)
+    ]
     return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ bootstrap RNG recipe (per-pair SeedSequence over the seed and the sha256 of
 each run tag, one uniform index block of shape (B, n)), which is part of the
 tool's output contract and is rebuilt here from that description.  The
 ideal-ranking enumerator behind AC4's upper bound lives here too; it hands
-the package's ``RankedList`` to the scorers it maximizes over.
+the package's ``RankedList`` to the scorers it maximizes over.  The
+line-by-line run parser returns the package's ``RunFile`` and raises its
+error types, so that a test can compare the two parsers with ``==``.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import random
 
 import numpy as np
 
-from aspecteval import ConfigError, RankedList
+from aspecteval import ConfigError, DuplicateDoc, MixedRunTag, ParseError, RankedList, RunFile
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +41,53 @@ def read_score_table(text):
     runs = sorted({r for r, _ in cells})
     topics = sorted({t for _, t in cells})
     return measure, runs, topics, cells
+
+
+# ---------------------------------------------------------------------------
+# run files (the line-by-line parser the column parser replaced)
+
+
+def ref_parse_run(text, honor_rank=False):
+    """Parse a six-column run file one line at a time: blank and ``#``
+    lines skipped, every line checked in file order, entries sorted per
+    topic by (rank or -score, doc)."""
+    rows = {}
+    seen = set()
+    run_tag = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 fields, got {len(parts)}", lineno)
+        topic, _q0, doc, rank_s, score_s, tag = parts
+        try:
+            rank = int(rank_s)
+        except ValueError:
+            raise ParseError(f"non-integer rank {rank_s!r}", lineno) from None
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_s!r}", lineno)
+        if run_tag is None:
+            run_tag = tag
+        elif tag != run_tag:
+            raise MixedRunTag(f"run tag changes from {run_tag!r} to {tag!r}", lineno)
+        if (topic, doc) in seen:
+            raise DuplicateDoc(f"doc {doc!r} repeated for topic {topic!r}", lineno)
+        seen.add((topic, doc))
+        rows.setdefault(topic, []).append((rank if honor_rank else -score, doc, score))
+    if run_tag is None:
+        raise ParseError("run file contains no entries")
+    topics, scores = {}, {}
+    for topic, entries in sorted(rows.items()):
+        entries.sort()
+        topics[topic] = tuple(doc for _, doc, _ in entries)
+        scores[topic] = tuple(score for _, _, score in entries)
+    return RunFile(run_tag, topics, scores)
 
 
 # ---------------------------------------------------------------------------

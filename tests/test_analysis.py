@@ -511,7 +511,7 @@ def tied_differences(draw, n):
     return units
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_exact_bootstrap_equals_the_int_oracle_on_tied_vectors(data):
     n = data.draw(st.integers(2, 40))

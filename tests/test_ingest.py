@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspecteval import (
     AspectCountMismatch,
@@ -25,6 +27,7 @@ from aspecteval import (
     serialize_run,
     zero_aspect_at_k,
 )
+from reference_impl import ref_parse_run
 
 RUN_TEXT = """\
 # system alpha
@@ -89,6 +92,163 @@ def test_parse_run_rejects_mixed_run_tags():
 def test_parse_run_malformed(bad, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_run(bad)
+
+
+def run_with(bad_line, tail="3 Q0 d9 1 0.5 alpha"):
+    """A run file with blank and comment lines whose line 7, past the first
+    topic, is ``bad_line``."""
+    return (
+        "# system alpha\n"
+        "1 Q0 d1 1 3.0 alpha\n"
+        "\n"
+        "1 Q0 d2 2 2.0 alpha\n"
+        "   # an indented comment\n"
+        "2 Q0 d1 1 1.5 alpha\n"
+        f"{bad_line}\n"
+        f"{tail}\n"
+    )
+
+
+@pytest.mark.parametrize("tail", ["3 Q0 d9 1 0.5 alpha", "3 Q0 d9 1 0.5"])
+@pytest.mark.parametrize(
+    "bad_line, exc, message",
+    [
+        ("2 Q0 d2 2 1.0", ParseError, "expected 6 fields, got 5"),
+        ("2 Q0 d2 2 1.0 alpha extra", ParseError, "expected 6 fields, got 7"),
+        ("2 Q0 d2 two 1.0 alpha", ParseError, "non-integer rank 'two'"),
+        ("2 Q0 d2 2 high alpha", ParseError, "non-numeric score 'high'"),
+        ("2 Q0 d2 2 nan alpha", ParseError, "non-finite score 'nan'"),
+        ("2 Q0 d2 2 -inf alpha", ParseError, "non-finite score '-inf'"),
+        ("2 Q0 d2 2 1.0 beta", MixedRunTag, "run tag changes from 'alpha' to 'beta'"),
+        ("2 Q0 d1 2 1.0 alpha", DuplicateDoc, "doc 'd1' repeated for topic '2'"),
+        # a line that fails several checks fails the one a line parser makes first
+        ("2 Q0 d1 two high beta", ParseError, "non-integer rank 'two'"),
+        ("2 Q0 d1 2 inf beta", ParseError, "non-finite score 'inf'"),
+        ("2 Q0 d1 2 1.0 beta", MixedRunTag, "run tag changes from 'alpha' to 'beta'"),
+    ],
+)
+def test_parse_run_names_the_first_bad_line(bad_line, exc, message, tail):
+    # the tail, when broken, fails a column check that runs before the one
+    # line 7 fails; line 7 is still the one reported
+    with pytest.raises(ParseError) as caught:
+        parse_run(run_with(bad_line, tail))
+    assert type(caught.value) is exc
+    assert str(caught.value) == f"line 7: {message}"
+    assert caught.value.line == 7
+    with pytest.raises(exc, match=f"^line 7: {message}$"):
+        ref_parse_run(run_with(bad_line, tail))
+
+
+def test_parse_run_with_only_blank_and_comment_lines_has_no_entries():
+    for text in ("# a\n\n   \n\t# b\n", "\r\n \x0b\n"):
+        with pytest.raises(ParseError) as caught:
+            parse_run(text)
+        assert type(caught.value) is ParseError
+        assert str(caught.value) == "run file contains no entries"
+        assert caught.value.line is None
+
+
+@pytest.mark.parametrize(
+    "text, topics",
+    [
+        # '#' only opens a comment at the start of a stripped line
+        ("1 Q0 doc#1 1 2.0 sys\n1 Q0 #d 2 1.0 sys\n #1 Q0 d3 3 0.5 sys\n", {"1": ("doc#1", "#d")}),
+        ("1 Q0 d1 1 2.0 sys\r\n\r\n1 Q0 d2 2 1.0 sys\r\n", {"1": ("d1", "d2")}),
+        ("1\tQ0\td2\t1\t2.0\tsys\n 1  Q0 d1\t2 \t3.0   sys \n", {"1": ("d1", "d2")}),
+        # str.splitlines breaks lines at \x0b, \x0c, \x1c and \x85 as well
+        ("1 Q0 d1 1 2.0 sys\x0b2 Q0 d1 1 1.0 sys\x0c2 Q0 d2 2 0.5 sys", {"1": ("d1",), "2": ("d1", "d2")}),
+        ("1 Q0 d1 1 2.0 sys\x1c1 Q0 d2 2 1.0 sys\x852 Q0 d3 1 0.5 sys", {"1": ("d1", "d2"), "2": ("d3",)}),
+        # and str.split separates fields at any other whitespace
+        ("1\xa0Q0\u3000d1\x1f1 2.0\u2003sys\n", {"1": ("d1",)}),
+    ],
+)
+def test_parse_run_splits_lines_and_fields_as_str_does(text, topics):
+    run = parse_run(text)
+    assert run == ref_parse_run(text)
+    assert dict(run.topics) == topics
+
+
+def test_parse_run_counts_lines_as_str_splitlines_does():
+    text = "1 Q0 d1 1 2.0 sys\r\n\x0b1 Q0 d2 2 1.0 sys\x851 Q0 d3 x 0.5 sys\n"
+    with pytest.raises(ParseError, match="^line 4: non-integer rank 'x'$"):
+        parse_run(text)
+
+
+TOPIC_IDS = ["1", "2", "10", "q1", "Q1"]
+DOC_IDS = ["d1", "d2", "d10", "D", "d#", "é", "d\x00", "d\x00\x00", "d\U0001f600"]
+SCORE_TOKENS = ["0", "-0.0", "0.5", "1", "1.0", "1e0", "+1", "2.25", "-3.5", "1_0", "1e-320"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0"]
+
+
+@st.composite
+def run_texts(draw, max_entries=25):
+    """A run file's text: distinct (topic, doc) entries in a shuffled order
+    with tied scores and ranks, fields split by mixed whitespace, blank and
+    comment lines between them, mixed line ends."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(TOPIC_IDS), st.sampled_from(DOC_IDS)),
+        min_size=1, max_size=max_entries, unique=True,
+    ))
+    lines = []
+    for topic, doc in keys:
+        rank = draw(st.integers(-2, 6))
+        score = draw(st.sampled_from(SCORE_TOKENS))
+        fields = [topic, "Q0", doc, str(rank), score, "sys"]
+        seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=5, max_size=5))
+        body = topic + "".join(sep + field for sep, field in zip(seps, fields[1:]))
+        pad = st.sampled_from(["", " ", "\t"])
+        lines.append(draw(pad) + body + draw(pad))
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "   ", "# comment", "  #1 Q0 d1 1 1.0 sys", "#"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+BREAKS = {
+    "drop a field": lambda fields: fields[:-1],
+    "add a field": lambda fields: fields + ["x"],
+    "bad rank": lambda fields: fields[:3] + ["1.5"] + fields[4:],
+    "bad score": lambda fields: fields[:4] + ["1,5"] + fields[5:],
+    "nan score": lambda fields: fields[:4] + ["NaN"] + fields[5:],
+    "inf score": lambda fields: fields[:4] + ["-Infinity"] + fields[5:],
+    "other tag": lambda fields: fields[:5] + ["other"],
+}
+
+
+def outcome(parse, text, honor_rank):
+    try:
+        return parse(text, honor_rank=honor_rank)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(text=run_texts(), honor_rank=st.booleans())
+def test_parse_run_equals_the_line_parser(text, honor_rank):
+    assert parse_run(text, honor_rank=honor_rank) == ref_parse_run(text, honor_rank=honor_rank)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), text=run_texts(), honor_rank=st.booleans())
+def test_parse_run_fails_as_the_line_parser(data, text, honor_rank):
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):  # repeat an entry further down
+            lines.insert(data.draw(st.integers(i, len(lines))), lines[i])
+        for name in data.draw(st.lists(st.sampled_from(sorted(BREAKS)), max_size=3)):
+            lines[i] = " ".join(BREAKS[name](lines[i].split()))
+    broken = "\n".join(lines)
+    assert outcome(parse_run, broken, honor_rank) == outcome(ref_parse_run, broken, honor_rank)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(text=run_texts(), honor_rank=st.booleans())
+def test_serialize_run_round_trips(text, honor_rank):
+    run = parse_run(text, honor_rank=honor_rank)
+    canonical = serialize_run(run)
+    assert parse_run(canonical, honor_rank=honor_rank) == run
 
 
 def test_serialize_run_round_trips_and_renumbers():
@@ -224,6 +384,20 @@ def test_parse_qrels_duplicate_judgment(schema):
     text = "# aspects: relevance correctness\n1 0 d1 mr c\n1 0 d1 hr c\n"
     with pytest.raises(DuplicateDoc):
         parse_qrels(text, schema)
+
+
+def test_qrels_tokens_resolve_per_aspect_and_fail_at_their_own_line(schema):
+    merge = {"relevance": {"x": "hr"}, "correctness": {"x": "pc"}}
+    text = "# aspects: relevance correctness\n1 0 d1 x x\n1 0 d2 3 x\n1 0 d3 x 2\n"
+    gt, _ = parse_qrels(text, schema, merge=merge)
+    assert [gt.get("1", d) for d in ("d1", "d2", "d3")] == [(3, 1), (3, 1), (3, 2)]
+    bad = "# aspects: relevance correctness\n1 0 d1 3 2\n\n1 0 d2 3 3\n1 0 d3 2 3\n"
+    with pytest.raises(UnknownLabel, match="^line 4: grade index 3 out of range for aspect 'correctness'$"):
+        parse_qrels(bad, schema)
+    gt, _ = join_aspect_qrels({"relevance": "1 0 d1 x\n", "correctness": "1 0 d1 x\n"}, schema, merge)
+    assert gt.get("1", "d1") == (3, 1)
+    with pytest.raises(UnknownLabel, match="^line 3: label 'glow' is not defined for aspect 'relevance'$"):
+        join_aspect_qrels({"relevance": "1 0 d1 hr\n# c\n1 0 d2 glow\n1 0 d3 glow\n"}, schema)
 
 
 def test_join_aspect_qrels_outer_join(schema):

@@ -44,6 +44,7 @@ from conftest import (
     run_of,
     run_tag_for,
 )
+from aspecteval.measures import _BLOCK_ELEMENTS
 from reference_impl import estimate_upper_bound, generate_ideal_rankings, ref_sum
 
 # ---------------------------------------------------------------------------
@@ -448,21 +449,30 @@ def test_score_runs_equals_the_scalar_scorers_on_every_cell(depth):
     schema = parse_schema("\n".join(lines))
     space = build_tuple_space(schema)
     assert len(space) < 4 * 3 * 3
-    topics = "12345"
+    # Each topic gathers at least one rank per run and score column, so this
+    # many more topics span at least two of score_runs' blocks at any depth.
+    n_runs, n_columns = 5, len(Metric) + schema.n_aspects
+    more = [f"t{i:03d}" for i in range(_BLOCK_ELEMENTS // (n_runs * n_columns) + 1)]
+    topics = ["1", "2", "3", "4", "5", *more]
     gt = ground_truth_from(
         [(t, f"d{d}", rng.choice(space.tuples)) for t in "123" for d in range(8)]
         # topic 4 is all worst grades, so every ideal is 0; no run retrieves topic 5
         + [("4", f"d{d}", schema.worst_tuple) for d in range(3)]
-        + [("5", f"d{d}", rng.choice(space.tuples)) for d in range(4)],
+        + [("5", f"d{d}", rng.choice(space.tuples)) for d in range(4)]
+        # pools of 1 to 8 judged docs
+        + [(t, f"d{d}", rng.choice(space.tuples)) for t in more for d in range(rng.randint(1, 8))],
         schema,
     )
     docs = [f"d{d}" for d in range(8)] + [f"u{u}" for u in range(6)]  # u* are unjudged
     runs = [
         run_of(f"s{i}", {t: rng.sample(docs, rng.randint(1, len(docs))) for t in run_topics})
-        for i, run_topics in enumerate(["1234", "134", "2", ""])
+        for i, run_topics in enumerate(
+            [["1", "2", "3", "4", *more], ["1", "3", "4", *more[::2]], ["2", *more[1::3]], []]
+        )
     ]
     # every doc, so longer than any depth and than the judged pool
-    runs.append(run_of("s4", {"1": docs[::-1], "2": docs, "4": docs}))
+    runs.append(run_of("s4", {"1": docs[::-1], "2": docs, "4": docs, more[-1]: docs}))
+    assert len(runs) == n_runs
     importance = {"a0": 0.5, "a1": 0.3, "a2": 0.2}
     gains = {"a0": {"g0": 0, "g1": 1, "g2": 1, "g3": 7}, "a1": {"g0": 0, "g1": 2, "g2": 3}}
     relevant = {"a0": ["g2", "g3"], "a1": ["g2"]}
@@ -501,3 +511,10 @@ def test_score_runs_rejects_a_judged_tuple_off_the_order_as_the_scalar_scorer_do
     if bad != (0, 1):  # off the grid: CAM and MM alone must not wrap a grade either
         with pytest.raises(ConfigError, match="off the grade grid"):
             score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",), metrics=())
+
+
+def test_score_runs_without_runs_has_empty_rows(schema, gt):
+    matrices = score_runs([], gt, schema)
+    assert len(matrices) == 2 * (len(Metric) + 2)
+    for m in matrices.values():
+        assert m.run_tags == () and m.topic_ids == ("1",) and m.values.shape == (0, 1)

@@ -1,4 +1,5 @@
-"""Property tests on random schemas with coupling rules.
+"""Property tests on random schemas with coupling rules, and on the scores
+of runs judged against them.
 
 Hypothesis runs derandomized, so every run of the suite draws the same
 examples.
@@ -7,6 +8,7 @@ examples.
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from aspecteval import (
     Aspect,
     AspectSchema,
     CouplingRule,
+    GroundTruth,
     Metric,
     MissingBestTuple,
     SchemaError,
@@ -22,7 +25,9 @@ from aspecteval import (
     build_order,
     build_tuple_space,
     check_extends_partial_order,
+    score_runs,
 )
+from conftest import run_of
 from reference_impl import ref_unsettled_tuple
 
 
@@ -67,3 +72,41 @@ def test_coupling_rules_agree_with_the_tuple_space(drawn):
         assert fixed in space, (t, fixed)
     for metric in Metric:
         assert check_extends_partial_order(build_order(space, schema, metric), schema), metric
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_appending_unjudged_docs_changes_no_score(data, drawn):
+    aspects, rules = drawn
+    if ref_unsettled_tuple([a.n_grades for a in aspects], rules) is not None:
+        reject()
+    schema = AspectSchema(aspects, tuple(CouplingRule(*r) for r in rules))
+    try:
+        space = build_tuple_space(schema)
+    except (MissingBestTuple, SchemaError):
+        reject()
+    topics = ["1", "2", "3"]
+    docs = [f"d{i}" for i in range(6)]
+    tuples = st.sampled_from(space.tuples)
+    gt = GroundTruth({
+        (t, d): data.draw(tuples)
+        for t in topics
+        for d in data.draw(st.lists(st.sampled_from(docs), min_size=1, unique=True))
+    })
+    rankings = [
+        {t: data.draw(st.lists(st.sampled_from(docs), unique=True)) for t in topics[: 2 + r % 2]}
+        for r in range(3)
+    ]
+    # docs of other topics' pools and docs no topic judged, after each ranking
+    extended = [
+        {t: ranked + [d for d in [*docs, "u0", "u1"] if d not in ranked and gt.get(t, d) is None]
+         for t, ranked in per_topic.items()}
+        for per_topic in rankings
+    ]
+    extended[0]["3"] = ["u0"]  # a topic the run skipped
+    depth = data.draw(st.sampled_from([None, 1, 3, 8]))
+    before = score_runs([run_of(f"s{i}", r) for i, r in enumerate(rankings)], gt, schema, depth=depth)
+    after = score_runs([run_of(f"s{i}", r) for i, r in enumerate(extended)], gt, schema, depth=depth)
+    assert before.keys() == after.keys()
+    for label, matrix in before.items():
+        assert np.array_equal(matrix.values, after[label].values), label
