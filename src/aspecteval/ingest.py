@@ -7,7 +7,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -59,16 +58,11 @@ class RunFile:
 
 def _iter_lines(text: str) -> Iterable[tuple[int, str]]:
     """(line number, stripped line) of every line that is neither blank nor
-    a ``#`` comment; ``_content_lines`` keeps the same lines."""
+    a ``#`` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and line[0] != "#":
             yield lineno, line
-
-
-def _content_lines(text: str) -> list[str]:
-    """The lines ``_iter_lines`` yields, without their numbers."""
-    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def _parse_score(token: str, lineno: int) -> float:
@@ -123,7 +117,7 @@ def parse_run(text: str, honor_rank: bool = False) -> RunFile:
     only a file that fails one is walked line by line, to report its first
     bad line.
     """
-    lines = _content_lines(text)
+    lines = [line for _, line in _iter_lines(text)]
     if not lines:
         raise ParseError("run file contains no entries")
     if set(map(len, map(str.split, lines))) != {6}:
@@ -137,18 +131,14 @@ def parse_run(text: str, honor_rank: bool = False) -> RunFile:
         raise _first_run_error(text) from None
     if not all(map(math.isfinite, scores)) or tags.count(tags[0]) != len(tags):
         raise _first_run_error(text)
-    keys = ranks if honor_rank else list(map(operator.neg, scores))
-    # Sort by (topic, key, doc), unless the file already lists its entries
-    # in that order; stable passes from the last key to the first.
-    if not all(map(operator.lt, zip(topics, keys, docs), islice(zip(topics, keys, docs), 1, None))):
-        order = sorted(range(len(docs)), key=docs.__getitem__)
-        order.sort(key=keys.__getitem__)
-        order.sort(key=topics.__getitem__)
-        topics, docs, scores = (list(map(col.__getitem__, order)) for col in (topics, docs, scores))
+    keys = ranks if honor_rank else map(operator.neg, scores)
+    # One sort by (topic, key, doc); a score decides only between entries
+    # that repeat a doc, which fail below.
+    topics, _, docs, scores = zip(*sorted(zip(topics, keys, docs, scores)))
     by_topic, by_score, start = {}, {}, 0
     for topic, count in Counter(topics).items():  # topics ascending, as sorted
         end = start + count
-        by_topic[topic], by_score[topic] = tuple(docs[start:end]), tuple(scores[start:end])
+        by_topic[topic], by_score[topic] = docs[start:end], scores[start:end]
         start = end
     try:
         return RunFile(tags[0], by_topic, by_score)

@@ -176,7 +176,10 @@ def _class_of(order: DistanceOrder, t: LabelTuple) -> int:
 def _weight_column(
     judged: Mapping[str, LabelTuple], weights: WeightAssignment
 ) -> dict[str, float]:
-    return {d: float(weights.per_class[_class_of(weights.order, t)]) for d, t in judged.items()}
+    try:
+        return {d: float(weights.of(t)) for d, t in judged.items()}
+    except KeyError as exc:
+        raise ConfigError(f"judged tuple without a weight: {exc}") from None
 
 
 def order_score(
