@@ -29,6 +29,7 @@ from .analysis import (
 from .errors import ConfigError, EvalError
 from .ingest import (
     RunFile,
+    _iter_lines,
     discretize_quantile,
     discretize_threshold,
     join_aspect_qrels,
@@ -299,7 +300,7 @@ def _load_runs(paths: list[str], honor_rank: bool) -> list[RunFile]:
     runs = []
     for f in files:
         text = f.read_text()
-        if any(l.strip() and not l.lstrip().startswith("#") for l in text.splitlines()):
+        if any(_iter_lines(text)):  # a content line, as parse_run counts them
             runs.append(parse_run(text, honor_rank=honor_rank))
         else:
             print(

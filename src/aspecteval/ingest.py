@@ -19,7 +19,7 @@ from .errors import (
     UnknownLabel,
 )
 from .measures import RankedList, check_distinct
-from .schema import AspectSchema, GroundTruth, LabelTuple, apply_rules
+from .schema import AspectSchema, GroundTruth
 
 MergeMaps = Mapping[str, Mapping[str, str]]
 
@@ -211,8 +211,7 @@ def parse_qrels(
             f"header aspects {header} do not match schema {list(schema.names)}", 1
         )
 
-    entries: dict[tuple[str, str], LabelTuple] = {}
-    corrections = 0
+    rows: dict[tuple[str, str], list[int]] = {}
     grade_of: dict[tuple[int, str], int] = {}  # (aspect, token) -> grade, resolved once
     for lineno, line in _iter_lines(text):
         parts = line.split()
@@ -224,7 +223,7 @@ def parse_qrels(
             raise AspectCountMismatch(
                 f"{len(grades)} grade columns for {schema.n_aspects} aspects", lineno
             )
-        if (topic, doc) in entries:
+        if (topic, doc) in rows:
             raise DuplicateDoc(f"doc {doc!r} judged twice for topic {topic!r}", lineno)
         indices = []
         for key in enumerate(grades):
@@ -232,10 +231,8 @@ def parse_qrels(
                 grade_of[key] = _resolve_grade(key[1], key[0], schema, merge, lineno)
             indices.append(grade_of[key])
         indices.extend(0 for _ in range(schema.n_aspects - len(indices)))
-        fixed, n = apply_rules(tuple(indices), schema)
-        corrections += n
-        entries[(topic, doc)] = fixed
-    return GroundTruth(entries), corrections
+        rows[(topic, doc)] = indices
+    return _settle(rows, schema)
 
 
 def join_aspect_qrels(
@@ -272,13 +269,14 @@ def join_aspect_qrels(
             if token not in grade_of:
                 grade_of[token] = _resolve_grade(token, idx, schema, merge, lineno)
             partial.setdefault((topic, doc), [0] * schema.n_aspects)[idx] = grade_of[token]
-    entries: dict[tuple[str, str], LabelTuple] = {}
-    corrections = 0
-    for key in sorted(partial):
-        fixed, n = apply_rules(tuple(partial[key]), schema)
-        corrections += n
-        entries[key] = fixed
-    return GroundTruth(entries), corrections
+    return _settle(dict(sorted(partial.items())), schema)
+
+
+def _settle(rows: Mapping, schema: AspectSchema) -> tuple[GroundTruth, int]:
+    """The ground truth of ``rows`` (judged pair -> grade indices, in entry
+    order) forced into rule compliance, and the number of corrections."""
+    settled, corrections = schema.settle(list(rows.values()))
+    return GroundTruth(dict(zip(rows, settled))), corrections
 
 
 def parse_signals(text: str) -> dict[str, float]:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,6 +111,46 @@ class AspectSchema:
         return math.lcm(*denoms) if denoms else 1
 
     @cached_property
+    def rule_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(shift, corrections)``: each cell's fixpoint under the coupling
+        rules as ``shift[:, c]``, the fixpoint minus cell ``c`` (C order, in
+        the smallest signed integer type that holds every grade), and how
+        many times rules fired on the way; aspects no rule names have axes
+        of length 1.  Built in passes, one masked assignment per rule in
+        order, each on the cells that fired in the last; the first cell
+        still firing after the pass cap is named in a SchemaError."""
+        named = {i for r in self.rules for i in (r.trigger_aspect, r.forced_aspect)}
+        axes = tuple(n if a in named else 1 for a, n in enumerate(self.grid_shape))
+        cells = np.indices(axes, np.min_scalar_type(-max(axes))).reshape(self.n_aspects, -1)
+        fixed = cells.copy()
+        corrections = np.zeros(fixed.shape[1], dtype=np.int64)
+        live = np.arange(fixed.shape[1])
+        for _ in range(len(self.rules) * sum(self.grid_shape) + 1):
+            state = np.take(fixed, live, axis=1)
+            fired = np.zeros(live.size, dtype=np.int64)
+            for ta, tl, fa, fl in map(astuple, self.rules):
+                fire = (state[ta] == tl) & (state[fa] != fl)
+                state[fa][fire] = fl
+                fired += fire
+            fixed[:, live] = state
+            corrections[live] += fired
+            live = live[fired > 0]
+            if not live.size:
+                return fixed - cells, corrections.reshape(axes)
+        unsettled = tuple(cells[:, live[0]].tolist())
+        raise SchemaError(f"coupling rules never settle from {self.format_tuple(unsettled)}")
+
+    def settle(self, rows: Sequence[Sequence[int]]) -> tuple[list[LabelTuple], int]:
+        """The fixpoint of each on-grid tuple of ``rows``, read from
+        :attr:`rule_map`, and the corrections made over all rows."""
+        grades = np.array(rows, dtype=np.int64).reshape(len(rows), self.n_aspects).T
+        shift, corrections = self.rule_map
+        # clipping sends any grade of an aspect no rule names to its one cell
+        cells = np.ravel_multi_index(tuple(grades), corrections.shape, mode="clip")
+        settled = list(zip(*(grades + shift[:, cells]).tolist()))
+        return settled, int(corrections.flat[cells].sum())
+
+    @cached_property
     def scaled_values(self) -> tuple[tuple[int, ...], ...]:
         """Per-aspect embed values multiplied by :attr:`scale` (exact ints)."""
         s = self.scale
@@ -150,8 +190,8 @@ def validate_schema(schema: AspectSchema) -> None:
     Invariants: at least one aspect; unique aspect names; per aspect at least
     two labels, unique label names, and non-decreasing non-negative embed
     values; coupling rules reference existing aspects/labels, couple two
-    distinct aspects, and settle (``apply_rules`` reaches a fixpoint) from
-    every tuple.
+    distinct aspects, and settle from every tuple (building
+    :attr:`AspectSchema.rule_map` names the first tuple they never settle from).
     """
     if not schema.aspects:
         raise SchemaError("schema declares no aspects")
@@ -184,28 +224,7 @@ def validate_schema(schema: AspectSchema) -> None:
             raise SchemaError("coupling rule references an unknown trigger label")
         if not 0 <= r.forced_label < schema.aspects[r.forced_aspect].n_grades:
             raise SchemaError("coupling rule references an unknown forced label")
-    # Unless two rules force one aspect to different labels, every aspect
-    # changes at most once and every tuple settles.
-    forced = {(r.forced_aspect, r.forced_label) for r in schema.rules}
-    if len(forced) > len({aspect for aspect, _ in forced}):
-        _check_rules_settle(schema)
-
-
-def _check_rules_settle(schema: AspectSchema) -> None:
-    """Raise SchemaError naming the first tuple from which ``apply_rules``
-    never settles.  Only the aspects the rules name vary: no rule reads or
-    writes the others, so they stay at grade 0."""
-    named = sorted({i for r in schema.rules for i in (r.trigger_aspect, r.forced_aspect)})
-    t = [0] * schema.n_aspects
-    for grades in itertools.product(*(range(schema.aspects[i].n_grades) for i in named)):
-        for i, g in zip(named, grades):
-            t[i] = g
-        try:
-            apply_rules(tuple(t), schema)
-        except SchemaError:
-            raise SchemaError(
-                f"coupling rules never settle from {schema.format_tuple(tuple(t))}"
-            ) from None
+    schema.rule_map  # built here, so a schema whose rules never settle is rejected
 
 
 def parse_schema(text: str) -> AspectSchema:
@@ -270,28 +289,13 @@ def parse_schema(text: str) -> AspectSchema:
 def apply_rules(t: LabelTuple, schema: AspectSchema) -> tuple[LabelTuple, int]:
     """Force ``t`` into rule compliance, returning (tuple, corrections made).
 
-    Rules are applied repeatedly until nothing changes, since forcing one
-    aspect may trigger another rule.  Rule sets that never settle are a
-    schema defect and raise SchemaError.
+    The tuple is the fixpoint the rules reach from ``t`` (forcing one aspect
+    may trigger another rule).  A tuple off the grid raises, as in
+    :meth:`AspectSchema.check_tuple`.
     """
-    if not schema.rules:
-        return t, 0
-    current = list(t)
-    corrections = 0
-    max_passes = len(schema.rules) * sum(a.n_grades for a in schema.aspects) + 1
-    for _ in range(max_passes):
-        changed = False
-        for r in schema.rules:
-            if (
-                current[r.trigger_aspect] == r.trigger_label
-                and current[r.forced_aspect] != r.forced_label
-            ):
-                current[r.forced_aspect] = r.forced_label
-                corrections += 1
-                changed = True
-        if not changed:
-            return tuple(current), corrections
-    raise SchemaError("coupling rules do not reach a fixpoint")
+    schema.check_tuple(t)
+    (settled,), corrections = schema.settle([t])
+    return settled, corrections
 
 
 def on_grid(t: LabelTuple, shape: tuple[int, ...]) -> bool:
@@ -327,19 +331,15 @@ class TupleSpace:
 
 
 def build_tuple_space(schema: AspectSchema) -> TupleSpace:
-    """The grade grid minus one slab per coupling rule: trigger axis at the
-    trigger label, forced axis off the forced label.
+    """The grade grid minus the cells where a coupling rule fires, those
+    the schema's :attr:`~AspectSchema.rule_map` makes corrections from.
 
     The best and the all-worst tuple must survive the rules; a rule set
     that excludes either one leaves the order without its anchor points and
     is rejected.
     """
-    mask = np.ones(schema.grid_shape, dtype=bool)
-    for r in schema.rules:
-        slab = [slice(None)] * schema.n_aspects
-        slab[r.trigger_aspect] = r.trigger_label
-        slab[r.forced_aspect] = np.arange(mask.shape[r.forced_aspect]) != r.forced_label
-        mask[tuple(slab)] = False
+    _, corrections = schema.rule_map
+    mask = np.broadcast_to(corrections == 0, schema.grid_shape)
     if not mask[schema.best_tuple]:
         raise MissingBestTuple("coupling rules exclude the best tuple")
     if not mask[schema.worst_tuple]:

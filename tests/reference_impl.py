@@ -168,25 +168,35 @@ def ref_tuple_space(schema):
     )
 
 
+def ref_apply_rules(t, rules):
+    """(fixpoint, corrections) of tuple ``t`` under the coupling rules
+    (trigger aspect, trigger label, forced aspect, forced label), applied
+    one at a time in order, pass after pass, until a pass fires none; None
+    if a pass starts from a state an earlier pass started from, so the
+    rules cycle without settling."""
+    state, seen, corrections = list(t), set(), 0
+    while tuple(state) not in seen:
+        seen.add(tuple(state))
+        fired = 0
+        for ta, tl, fa, fl in rules:
+            if state[ta] == tl and state[fa] != fl:
+                state[fa] = fl
+                fired += 1
+        if not fired:
+            return tuple(state), corrections
+        corrections += fired
+    return None
+
+
 def ref_unsettled_tuple(shape, rules):
     """The first grid tuple, in lexicographic order, from which the coupling
-    rules (trigger aspect, trigger label, forced aspect, forced label),
-    applied pass after pass in order, come back to a state they passed
-    through without settling; None if they settle from every tuple."""
-    for t in itertools.product(*(range(n) for n in shape)):
-        state, seen = list(t), set()
-        while tuple(state) not in seen:
-            seen.add(tuple(state))
-            changed = False
-            for ta, tl, fa, fl in rules:
-                if state[ta] == tl and state[fa] != fl:
-                    state[fa] = fl
-                    changed = True
-            if not changed:
-                break
-        else:
-            return t
-    return None
+    rules never settle (see ``ref_apply_rules``); None if they settle from
+    every tuple."""
+    return next(
+        (t for t in itertools.product(*(range(n) for n in shape))
+         if ref_apply_rules(t, rules) is None),
+        None,
+    )
 
 
 def ref_build_order(tuples, schema, metric):

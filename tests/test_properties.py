@@ -25,10 +25,12 @@ from aspecteval import (
     build_order,
     build_tuple_space,
     check_extends_partial_order,
+    join_aspect_qrels,
+    parse_qrels,
     score_runs,
 )
 from conftest import run_of
-from reference_impl import ref_unsettled_tuple
+from reference_impl import ref_apply_rules, ref_tuple_space, ref_unsettled_tuple
 
 
 @st.composite
@@ -68,10 +70,47 @@ def test_coupling_rules_agree_with_the_tuple_space(drawn):
         reject()
     for t in itertools.product(*(range(n) for n in schema.grid_shape)):
         fixed, corrections = apply_rules(t, schema)
+        assert (fixed, corrections) == ref_apply_rules(t, rules), t
         assert (t in space) == (corrections == 0), t
         assert fixed in space, (t, fixed)
+    assert space.tuples == ref_tuple_space(schema)
     for metric in Metric:
         assert check_extends_partial_order(build_order(space, schema, metric), schema), metric
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_qrels_parsers_settle_rows_as_the_reference_does(data, drawn):
+    aspects, rules = drawn
+    if ref_unsettled_tuple([a.n_grades for a in aspects], rules) is not None:
+        reject()
+    schema = AspectSchema(aspects, tuple(CouplingRule(*r) for r in rules))
+    keys = data.draw(st.lists(
+        st.tuples(st.sampled_from(["1", "2"]), st.sampled_from([f"d{i}" for i in range(8)])),
+        min_size=4, unique=True,
+    ))
+    cells = st.tuples(*(st.integers(0, a.n_grades - 1) for a in aspects))
+    rows = [(key, data.draw(cells)) for key in keys]
+    grade = st.sampled_from(["g{}", "{}"])  # a label name or a grade index
+    multi = ["# aspects: " + " ".join(schema.names)]
+    per_aspect = {name: [] for name in schema.names}
+    for (topic, doc), t in rows:
+        judged = max([i + 1 for i, g in enumerate(t) if g] + [1])
+        width = data.draw(st.integers(judged, len(t)))  # trailing worst grades may be left out
+        multi.append(f"{topic} 0 {doc} " + " ".join(data.draw(grade).format(g) for g in t[:width]))
+        for i, (name, g) in enumerate(zip(schema.names, t)):
+            if g or not i or data.draw(st.booleans()):  # an unjudged aspect is the worst grade
+                per_aspect[name].append(f"{topic} 0 {doc} {data.draw(grade).format(g)}")
+    expected = [(key, ref_apply_rules(t, rules)) for key, t in rows]
+    entries = [(key, fixed) for key, (fixed, _) in expected]
+    corrections = sum(n for _, (_, n) in expected)
+    multi_gt, multi_n = parse_qrels("\n".join(multi) + "\n", schema)
+    assert (list(multi_gt.entries.items()), multi_n) == (entries, corrections)
+    texts = {name: "".join(f"{line}\n" for line in lines) for name, lines in per_aspect.items()}
+    joined_gt, joined_n = join_aspect_qrels(texts, schema)
+    assert (list(joined_gt.entries.items()), joined_n) == (sorted(entries), corrections)
+    for gt in (multi_gt, joined_gt):
+        assert all(type(g) is int for t in gt.entries.values() for g in t)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -1,10 +1,15 @@
-import pytest
+import itertools
+import random
+from dataclasses import astuple
 from fractions import Fraction
+
+import pytest
 
 from aspecteval import (
     Aspect,
     AspectSchema,
     CouplingRule,
+    DimensionMismatch,
     GroundTruth,
     MissingBestTuple,
     SchemaError,
@@ -13,6 +18,7 @@ from aspecteval import (
     parse_schema,
 )
 from conftest import REFERENCE_SCHEMA, ground_truth_from
+from reference_impl import ref_apply_rules
 
 
 def test_parse_reference_schema(schema):
@@ -107,6 +113,13 @@ def test_apply_rules_fixpoint(schema):
     space = build_tuple_space(schema)
     assert (0, 0) in space
     assert (0, 2) not in space
+    # tuples off the grid raise instead of reading a wrong or wrapped cell
+    with pytest.raises(SchemaError, match="grade index 7 out of range"):
+        apply_rules((0, 7), schema)
+    with pytest.raises(SchemaError, match="grade index -1 out of range"):
+        apply_rules((-1, 2), schema)
+    with pytest.raises(DimensionMismatch):
+        apply_rules((0,), schema)
 
 
 def test_apply_rules_chains_until_stable():
@@ -136,6 +149,16 @@ couple a1 g0 a0 g0
 couple a2 g1 a0 g1
 """
 
+# seven aspects of 6, 6, 6, 5, 5, 5, 5 grades and five rules, two of which
+# force w0 to different labels
+WIDE_CONFLICT = "".join(
+    f"aspect w{i}\n" + "".join(f"label g{g} {g * step}\n" for g in range(n))
+    for i, (n, step) in enumerate(zip((6, 6, 6, 5, 5, 5, 5), (1, 2, 2, 1, 2, 3, 4)))
+) + (
+    "couple w1 g0 w0 g0\ncouple w1 g5 w0 g5\ncouple w2 g0 w3 g0\n"
+    "couple w4 g0 w5 g0\ncouple w6 g0 w5 g0\n"
+)
+
 
 def test_rules_that_never_settle_are_rejected():
     # from (g0, g0, g1) the two rules flip a0 back and forth forever
@@ -144,6 +167,15 @@ def test_rules_that_never_settle_are_rejected():
     # one forced label per aspect always settles, even across a chain
     chained = NEVER_SETTLES.replace("couple a2 g1 a0 g1", "couple a0 g0 a2 g0")
     assert parse_schema(chained).rules
+    # two labels forced on w0 by triggers that cannot hold together settle,
+    # and the rules name all seven aspects of the wide schema
+    wide = parse_schema(WIDE_CONFLICT)
+    _, corrections = wide.rule_map
+    assert corrections.shape == wide.grid_shape
+    rules = [astuple(r) for r in wide.rules]
+    cells = list(itertools.product(*(range(n) for n in wide.grid_shape)))
+    for t in random.Random(35).sample(cells, 2000):
+        assert apply_rules(t, wide) == ref_apply_rules(t, rules), t
 
 
 def test_ground_truth_accessors(schema):
