@@ -17,7 +17,7 @@ import configparser
 import hashlib
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .analysis import (
     discriminative_powers,
@@ -40,6 +40,7 @@ from .ingest import (
 from .measures import AP, CANONICAL, NDCG, TABLE, score_runs
 from .order import Metric, build_order, format_order_dump
 from .reports import (
+    ALL_TOPIC,
     parse_scores,
     render_correlation,
     render_dp,
@@ -128,9 +129,7 @@ class Settings:
         self.parser.optionxform = str  # aspect and label names keep their case
         self.used: dict[str, str] = {}
         if args.config:
-            if not Path(args.config).is_file():
-                raise ConfigError(f"config file not found: {args.config}")
-            self.parser.read(args.config)
+            self.parser.read_string(_read(args.config, "config file"), source=args.config)
             self._check_keys()
 
     def _check_keys(self) -> None:
@@ -214,11 +213,24 @@ def _require(value, what: str):
     return value
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path, what: str = "input file") -> str:
+    """The text of the file at ``path``: UTF-8, an optional byte-order mark dropped."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"input file not found: {path}")
-    return p.read_text()
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return p.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise ConfigError(f"{what} {path} is not UTF-8 ({where})") from None
+
+
+def _write(out_dir: str | Path, texts: Mapping[str, str]) -> None:
+    """Write each named text into ``out_dir`` as UTF-8 with LF line ends."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _parse_number(value, what: str, kind=float):
@@ -299,7 +311,7 @@ def _load_runs(paths: list[str], honor_rank: bool) -> list[RunFile]:
             raise ConfigError(f"run path not found: {raw}")
     runs = []
     for f in files:
-        text = f.read_text()
+        text = _read(f)
         if any(_iter_lines(text)):  # a content line, as parse_run counts them
             runs.append(parse_run(text, honor_rank=honor_rank))
         else:
@@ -317,9 +329,7 @@ def _write_out(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write(Path(out).parent, {Path(out).name: text})
 
 
 def cmd_order(st: Settings) -> int:
@@ -336,6 +346,8 @@ def cmd_evaluate(st: Settings) -> int:
     """score runs against multi-aspect qrels"""
     schema = st.load_schema(_require(st.get(SCHEMA), "schema path"))
     gt = _load_ground_truth(st, _require(st.get(QRELS), "qrels path"), schema)
+    if ALL_TOPIC in gt.topics():
+        raise ConfigError(f"topic id {ALL_TOPIC!r} is reserved for score means; the qrels judge it")
     runs = _load_runs(_require(st.get(RUNS), "runs path"), bool(st.get(HONOR_RANK)))
 
     metric_name = st.get(EVAL_METRIC)
@@ -360,11 +372,9 @@ def cmd_evaluate(st: Settings) -> int:
         aspect_gains={a: _floats(t, f"gain for {a}/") for a, t in gains.items()} or None,
         aspect_relevant={a: t["labels"].split() for a, t in relevant.items()} or None,
     )
-    out_dir = Path(st.get(OUT_DIR))
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"config": st.hash()}
-    for label in sorted(matrices):
-        (out_dir / f"scores_{label}.tsv").write_text(render_scores(matrices[label], meta))
+    tables = {f"scores_{k}.tsv": render_scores(m, meta) for k, m in sorted(matrices.items())}
+    _write(st.get(OUT_DIR), tables)
     return 0
 
 
@@ -420,10 +430,7 @@ def cmd_analyze(st: Settings) -> int:
         outputs[f"dp_{report.measure}.tsv"] = render_dp(report, meta)
     outputs.update(audits)
 
-    out_dir = Path(st.get(OUT_DIR))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        (out_dir / name).write_text(text)
+    _write(st.get(OUT_DIR), outputs)
     return 0
 
 

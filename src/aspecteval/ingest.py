@@ -163,7 +163,7 @@ def _resolve_grade(
     lineno: int,
 ) -> int:
     aspect = schema.aspects[aspect_idx]
-    if token.lstrip("-").isdigit():
+    if token.isascii() and token.removeprefix("-").isdigit():
         idx = int(token)
         if not 0 <= idx < aspect.n_grades:
             raise UnknownLabel(
@@ -193,19 +193,11 @@ def parse_qrels(
     first; missing trailing columns are filled with the worst label; tuples
     that still violate a coupling rule are forced to the rule's label.
     """
-    header: list[str] | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("aspects:"):
-                header = body[len("aspects:") :].split()
-            break
-        break
-    if header is None:
+    first = (text.lstrip().splitlines() or [""])[0]  # the first non-blank line
+    body = first.lstrip("#").strip()
+    if not first.startswith("#") or not body.startswith("aspects:"):
         raise ParseError("missing '# aspects:' header", 1)
+    header = body[len("aspects:") :].split()
     if tuple(header) != schema.names:
         raise ParseError(
             f"header aspects {header} do not match schema {list(schema.names)}", 1

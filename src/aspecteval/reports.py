@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 from . import __version__
 from .analysis import CorrelationReport, DPReport, QualityBandReport, ZeroAspectReport
 from .errors import ParseError
+from .ingest import _iter_lines
 from .measures import ScoreMatrix
 
 ALL_TOPIC = "all"
@@ -38,17 +39,18 @@ def render_scores(matrix: ScoreMatrix, meta: Mapping[str, object] | None = None)
 
 def parse_scores(text: str) -> ScoreMatrix:
     """Read a score TSV back into a matrix, ignoring comments and the
-    ``all`` summary rows."""
+    ``all`` summary rows; each (run, topic) pair, ``all`` included, comes once."""
     cells: dict[tuple[str, str], float] = {}
+    seen: set[tuple[str, str]] = set()
     measure: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _iter_lines(text):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", lineno)
         run, topic, label, score_s = parts
+        if (run, topic) in seen:
+            raise ParseError(f"duplicate cell ({run}, {topic})", lineno)
+        seen.add((run, topic))
         if topic == ALL_TOPIC:
             continue
         if measure is None:
@@ -61,8 +63,6 @@ def parse_scores(text: str) -> ScoreMatrix:
             score = float(score_s)
         except ValueError:
             raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
-        if (run, topic) in cells:
-            raise ParseError(f"duplicate cell ({run}, {topic})", lineno)
         cells[(run, topic)] = score
     if not cells or measure is None:
         raise ParseError("score table has no data rows")

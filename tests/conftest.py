@@ -2,8 +2,10 @@
 judgment pool, used across the order, measure, and CLI tests."""
 
 import itertools
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from aspecteval import (
     GroundTruth,
@@ -13,6 +15,16 @@ from aspecteval import (
     build_tuple_space,
     parse_schema,
 )
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it finds in the source under its home
+    directory, example database or not, as soon as the tests are collected:
+    keep them out of the checkout, in a directory removed when pytest ends."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
+
 
 REFERENCE_SCHEMA = """\
 # relevance embedded on 0..3, correctness on 0..3 with uneven steps

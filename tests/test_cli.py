@@ -3,6 +3,7 @@ temp directory, exit codes, config-file precedence, and byte-identical
 reruns."""
 
 import argparse
+import codecs
 import math
 import os
 import random
@@ -1024,6 +1025,105 @@ def test_discretize_rejects_bad_fractions(env, capsys):
 
 
 # ---------------------------------------------------------------------------
+# text inputs and outputs
+
+
+@pytest.fixture
+def text_inputs(env):
+    """Per input kind: a file of that kind and, given an output directory,
+    the command line of a subcommand that reads it."""
+    assert evaluate(env) == 0
+    rows = [line.split() for line in QRELS.splitlines()[1:]]
+    for i, aspect in enumerate(("relevance", "correctness")):
+        lines = (f"{topic} 0 {doc} {grades[i]}\n" for topic, _, doc, *grades in rows)
+        (env / f"{aspect}.txt").write_text("".join(lines))
+    (env / "signals.txt").write_text("d1 0.9\nd2 0.5\nd3 0.1\n")
+    (env / "eval.ini").write_text(CONFIG)
+    schema, runs = str(env / "schema.txt"), env / "runs"
+    tables = [str(env / "out" / f"scores_{label}.tsv") for label in ("EUCL-ndcg", "CHEB-ndcg")]
+
+    def scored(*args):
+        return lambda out: [
+            "evaluate", "--schema", schema, "--qrels", str(env / "qrels.txt"),
+            "--runs", str(runs), *args, "--out", str(out),
+        ]
+
+    return {
+        "schema": (env / "schema.txt",
+                   lambda out: ["order", "--schema", schema, "--out", str(out / "order.txt")]),
+        "qrels": (env / "qrels.txt", scored()),
+        "aspect-qrels": (env / "relevance.txt", scored(
+            "--qrels", f"relevance={env / 'relevance.txt'}", f"correctness={env / 'correctness.txt'}"
+        )),
+        "run-file": (runs / "runA.run",
+                     scored("--runs", str(runs / "runA.run"), str(runs / "runB.run"))),
+        "run-dir": (runs / "runB.run", scored()),
+        "scores": (Path(tables[0]), lambda out: [
+            "analyze", "--scores", *tables, "--seed", "1", "--bootstrap", "100", "--out", str(out)
+        ]),
+        "signals": (env / "signals.txt", lambda out: [
+            "discretize", "--signals", str(env / "signals.txt"), "--fractions", "0.5,0.5",
+            "--out", str(out / "grades.txt"),
+        ]),
+        "config": (env / "eval.ini", scored("--config", str(env / "eval.ini"))),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["schema", "qrels", "aspect-qrels", "run-file", "run-dir", "scores", "signals", "config"],
+)
+def test_every_input_is_utf8_with_an_optional_bom(text_inputs, env, capsys, kind):
+    path, command = text_inputs[kind]
+    data = path.read_bytes()
+    assert main(command(env / "plain")) == 0
+    path.write_bytes(codecs.BOM_UTF8 + data)
+    assert main(command(env / "bom")) == 0
+    assert output_files(env / "bom") == output_files(env / "plain")
+
+    path.write_bytes(data + b"# caf\xe9\n")  # Latin-1, not UTF-8
+    capsys.readouterr()
+    assert main(command(env / "bad")) == 2
+    what = "config file" if kind == "config" else "input file"
+    where = f"invalid continuation byte at byte {len(data) + 5}"
+    assert capsys.readouterr().err == f"error: {what} {path} is not UTF-8 ({where})\n"
+    assert not (env / "bad").exists()
+
+
+def test_commands_never_fall_back_on_the_locale_encoding(text_inputs, env):
+    """Every subcommand reads and writes its files with an explicit
+    encoding, so none warns under ``-X warn_default_encoding``."""
+    kinds = ("schema", "config", "scores", "signals")
+    commands = [text_inputs[kind][1](env / "quiet" / kind) for kind in kinds]
+    assert [argv[0] for argv in commands] == ["order", "evaluate", "analyze", "discretize"]
+    code = f"import sys; from aspecteval.cli import main; sys.exit(any(map(main, {commands})))"
+    src = str(Path(aspecteval.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, encoding="utf-8",
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert sorted(p.name for p in (env / "quiet").iterdir()) == sorted(kinds)
+
+
+@pytest.mark.parametrize("token", ["--1", "\u00b2"])
+def test_a_grade_that_is_neither_index_nor_label_exits_2(env, capsys, token):
+    (env / "qrels.txt").write_text(QRELS.replace("1 0 d2 hr pc", f"1 0 d2 {token} pc"))
+    assert evaluate(env) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 3: label {token!r} is not defined for aspect 'relevance'\n"
+    assert not (env / "out").exists()
+
+
+def test_evaluate_rejects_a_judged_topic_named_all(env, capsys):
+    """Score tables give each run's mean in a row for topic ``all``."""
+    (env / "qrels.txt").write_text(QRELS.replace("2 0 d1 mr c", "all 0 d1 mr c"))
+    assert evaluate(env) == 2
+    assert "topic id 'all' is reserved" in capsys.readouterr().err
+    assert not (env / "out").exists()
+
+
+# ---------------------------------------------------------------------------
 # score-table round trip
 
 
@@ -1055,3 +1155,6 @@ def test_parse_scores_rejects_malformed_tables():
         parse_scores("a\t1\tX\t0.5\na\t1\tX\t0.6\n")
     with pytest.raises(ParseError, match="missing cell"):
         parse_scores("a\t1\tX\t0.5\nb\t2\tX\t0.6\n")
+    # a judged topic named 'all' next to the mean row
+    with pytest.raises(ParseError, match=r"^line 4: duplicate cell \(a, all\)$"):
+        parse_scores("a\t1\tX\t0.5\na\tall\tX\t1.0\nb\t1\tX\t0.5\na\tall\tX\t0.75\n")

@@ -372,6 +372,8 @@ def test_parse_qrels_merge_map(schema):
         ("1 0 d1 mr c extra", AspectCountMismatch, "3 grade columns"),
         ("1 0 d1 glowing", UnknownLabel, "'glowing'"),
         ("1 0 d1 7", UnknownLabel, "out of range"),
+        ("1 0 d1 --1", UnknownLabel, "^line 2: label '--1' is not defined"),
+        ("1 0 d1 \u00b2", UnknownLabel, "^line 2: label '\u00b2' is not defined"),
         ("1 0", ParseError, "at least 4 fields"),
     ],
 )
@@ -421,6 +423,10 @@ def test_join_aspect_qrels_validates(schema):
         join_aspect_qrels({"relevance": "1 0 d1 mr extra\n"}, schema)
     with pytest.raises(DuplicateDoc, match="'relevance'"):
         join_aspect_qrels({"relevance": "1 0 d1 mr\n1 0 d1 hr\n"}, schema)
+    # only an optional '-' and ASCII digits make an index; '--1' and '²' are labels
+    for token in ("--1", "\u00b2"):
+        with pytest.raises(UnknownLabel, match=f"^line 2: label '{token}' is not defined"):
+            join_aspect_qrels({"relevance": f"1 0 d1 mr\n1 0 d2 {token}\n"}, schema)
 
 
 # ---------------------------------------------------------------------------
