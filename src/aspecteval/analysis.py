@@ -14,12 +14,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInput, MatrixMismatch
-from .measures import ScoreMatrix, left_sum, runs_by_tag
+from .ingest import runs_by_tag
+from .measures import ScoreMatrix, left_sum
 from .schema import GroundTruth
 
 
@@ -377,15 +378,19 @@ class ZeroAspectReport:
     total: ZeroAspectRow
 
 
-def _best_rankings(best: Mapping[str, str], runs) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """(topic, doc ids of the topic's best run), in sorted topic order."""
+def _best_sums(best: Mapping[str, str], runs, gt: GroundTruth, depth: int) -> list[list[int]]:
+    """Per topic, in sorted order, the grade-index sum of each of the first
+    ``depth`` docs of the topic's best run.  An unjudged doc counts as
+    all-worst: it sums to 0."""
     by_tag = runs_by_tag(runs)
+    sums = []
     for topic in sorted(best):
         try:
-            rf = by_tag[best[topic]]
+            docs = by_tag[best[topic]].topics.get(topic, ())
         except KeyError:
             raise ConfigError(f"best run {best[topic]!r} not among the loaded runs") from None
-        yield topic, rf.topics.get(topic, ())
+        sums.append([sum(gt.get(topic, doc) or ()) for doc in docs[:depth]])
+    return sums
 
 
 def zero_aspect_at_k(
@@ -403,23 +408,15 @@ def zero_aspect_at_k(
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
-    per_rank_count = [0] * k
-    per_rank_slots = [0] * k
-    for topic, docs in _best_rankings(best, runs):
-        for i, doc in enumerate(docs[:k]):
-            per_rank_slots[i] += 1
-            t = gt.get(topic, doc)
-            if t is None or sum(t) == 0:
-                per_rank_count[i] += 1
-    def row(label: str, count: int, slots: int) -> ZeroAspectRow:
-        percent = 100.0 * count / slots if slots else 0.0
-        return ZeroAspectRow(label, count, slots, percent)
+    sums = _best_sums(best, runs, gt, k)
+    by_rank = [[topic[r] for topic in sums if r < len(topic)] for r in range(k)]
 
-    rows = tuple(
-        row(str(r + 1), per_rank_count[r], per_rank_slots[r]) for r in range(k)
-    )
-    total = row(f"1-{k}", sum(per_rank_count), sum(per_rank_slots))
-    return ZeroAspectReport(k, rows, total)
+    def row(label: str, values: list[int]) -> ZeroAspectRow:
+        count, slots = values.count(0), len(values)
+        return ZeroAspectRow(label, count, slots, 100.0 * count / slots if slots else 0.0)
+
+    rows = tuple(row(str(r + 1), values) for r, values in enumerate(by_rank))
+    return ZeroAspectReport(k, rows, row(f"1-{k}", [s for values in by_rank for s in values]))
 
 
 @dataclass(frozen=True)
@@ -453,18 +450,10 @@ def quality_bands(
         if lo <= previous_hi:
             raise ConfigError("rank bands must be disjoint and ascending")
         previous_hi = hi
-    sums: dict[tuple[int, int], list[int]] = {band: [] for band in bands}
-    for topic, docs in _best_rankings(best, runs):
-        for lo, hi in bands:
-            for doc in docs[lo - 1 : hi]:
-                t = gt.get(topic, doc)
-                sums[(lo, hi)].append(sum(t) if t is not None else 0)
-    rows = tuple(
-        QualityBandRow(
-            band,
-            len(values),
-            (sum(values) / len(values)) if values else None,
-        )
-        for band, values in ((b, sums[b]) for b in bands)
-    )
-    return QualityBandReport(rows)
+    sums = _best_sums(best, runs, gt, previous_hi)  # the last band ends deepest
+    rows = []
+    for lo, hi in bands:
+        values = [s for topic in sums for s in topic[lo - 1 : hi]]
+        mean = sum(values) / len(values) if values else None
+        rows.append(QualityBandRow((lo, hi), len(values), mean))
+    return QualityBandReport(tuple(rows))

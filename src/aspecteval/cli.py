@@ -298,13 +298,15 @@ def _load_ground_truth(st: Settings, qrels: list[str], schema) -> GroundTruth:
 
 
 def _load_runs(paths: list[str], honor_rank: bool) -> list[RunFile]:
-    """The run files under ``paths``; an empty one warns on stderr and
-    scores 0."""
+    """The run files under ``paths``, skipping a directory's dot-files; an
+    empty one warns on stderr and scores 0."""
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(f for f in p.iterdir() if f.is_file()))
+            files.extend(sorted(
+                f for f in p.iterdir() if f.is_file() and not f.name.startswith(".")
+            ))
         elif p.is_file():
             files.append(p)
         else:

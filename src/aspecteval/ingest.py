@@ -1,5 +1,8 @@
 """Parsers for run files, multi-aspect qrels, and signal tables, plus the
-discretizers that turn continuous signals into graded aspect columns."""
+discretizers that turn continuous signals into graded aspect columns.
+
+The rules every run set keeps live here, beside ``RunFile``: each doc once
+per topic (``check_distinct``) and each run tag once (``runs_by_tag``)."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AspectCountMismatch,
@@ -18,10 +21,17 @@ from .errors import (
     ParseError,
     UnknownLabel,
 )
-from .measures import RankedList, check_distinct
 from .schema import AspectSchema, GroundTruth
 
 MergeMaps = Mapping[str, Mapping[str, str]]
+
+
+def check_distinct(topic_id: str, doc_ids: Sequence[str]) -> None:
+    """Raise DuplicateDoc if a doc appears twice in one topic's ranking."""
+    if len(set(doc_ids)) != len(doc_ids):
+        seen = set()
+        dup = next(d for d in doc_ids if d in seen or seen.add(d))
+        raise DuplicateDoc(f"doc {dup!r} appears twice in ranking for topic {topic_id!r}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +61,15 @@ class RunFile:
     def topic_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.topics))
 
-    def ranking(self, topic_id: str) -> RankedList:
-        """Ranked doc ids for a topic; empty if the run skipped the topic."""
-        return RankedList(topic_id, self.topics.get(topic_id, ()))
+
+def runs_by_tag(runs: Iterable[RunFile]) -> dict[str, RunFile]:
+    """The runs keyed by run tag; a tag given twice is an error."""
+    by_tag = {}
+    for rf in runs:
+        if rf.run_tag in by_tag:
+            raise ConfigError(f"duplicate run tag {rf.run_tag!r}")
+        by_tag[rf.run_tag] = rf
+    return by_tag
 
 
 def _iter_lines(text: str) -> Iterable[tuple[int, str]]:

@@ -23,7 +23,8 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateDoc, WeightError
+from .errors import ConfigError, WeightError
+from .ingest import check_distinct, runs_by_tag
 from .order import DistanceOrder, Metric, WeightAssignment, assign_weights, build_order
 from .schema import Aspect, AspectSchema, GroundTruth, LabelTuple, build_tuple_space
 
@@ -41,14 +42,6 @@ _SCORE_SLACK = 1e-9
 # all 100 topics of the benchmark's shallow-many workload in one block
 # raised the evaluate process's peak RSS from 39.8 to 42.2 MB.
 _BLOCK_ELEMENTS = 8 * 1024
-
-
-def check_distinct(topic_id: str, doc_ids: Sequence[str]) -> None:
-    """Raise DuplicateDoc if a doc appears twice in one topic's ranking."""
-    if len(set(doc_ids)) != len(doc_ids):
-        seen = set()
-        dup = next(d for d in doc_ids if d in seen or seen.add(d))
-        raise DuplicateDoc(f"doc {dup!r} appears twice in ranking for topic {topic_id!r}")
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -472,16 +465,6 @@ def _cam_mm(
         inverse = inverse + (pa if variant == CANONICAL else 1.0) / safe[..., a]
     top = left_sum(p) if variant == CANONICAL else 1.0
     return cam, np.where(zero, 0.0, top / inverse)
-
-
-def runs_by_tag(runs: Iterable) -> dict[str, object]:
-    """The runs keyed by run tag; a tag given twice is an error."""
-    by_tag = {}
-    for rf in runs:
-        if rf.run_tag in by_tag:
-            raise ConfigError(f"duplicate run tag {rf.run_tag!r}")
-        by_tag[rf.run_tag] = rf
-    return by_tag
 
 
 def score_runs(

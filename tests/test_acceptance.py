@@ -517,7 +517,9 @@ def test_ac8_ingestion_fidelity():
     text = serialize_run(run)
     again = parse_run(text)
     for topic in run.topic_ids():
-        if again.ranking(topic) != run.ranking(topic):
+        if RankedList(topic, again.topics.get(topic, ())) != RankedList(
+            topic, run.topics.get(topic, ())
+        ):
             failures.append(f"round trip changed topic {topic}")
     if serialize_run(again) != text:
         failures.append("serialization is not idempotent")

@@ -307,6 +307,21 @@ def test_evaluate_warns_on_empty_run_file(env, capsys):
     assert "drifter\t1\tEUCL-ndcg\t0.0000" in scored
 
 
+def test_evaluate_skips_dot_files_in_a_run_directory(env, capsys):
+    assert evaluate(env, "--out", str(env / "plain")) == 0
+    plain_err = capsys.readouterr().err
+    (env / "runs" / ".gitkeep").write_text("")
+    (env / "runs" / ".hidden.run").write_text(run_text("hidden", {"1": ["d1"]}))
+    assert evaluate(env, "--out", str(env / "dotted")) == 0
+    assert capsys.readouterr().err == plain_err == ""
+    assert output_files(env / "dotted") == output_files(env / "plain")
+    # a dot-file named on its own still loads
+    assert main(["evaluate", "--schema", str(env / "schema.txt"),
+                 "--qrels", str(env / "qrels.txt"), "--runs", str(env / "runs" / ".hidden.run"),
+                 "--out", str(env / "named")]) == 0
+    assert "hidden\t1\tEUCL-ndcg\t" in (env / "named" / "scores_EUCL-ndcg.tsv").read_text()
+
+
 def test_evaluate_warns_on_coupling_corrections(env, capsys):
     (env / "qrels.txt").write_text(QRELS + "2 0 dz nr c\n")
     assert evaluate(env) == 0

@@ -14,6 +14,7 @@ from aspecteval import (
     DuplicateDoc,
     MixedRunTag,
     ParseError,
+    RankedList,
     RunFile,
     SchemaError,
     UnknownLabel,
@@ -44,10 +45,10 @@ def test_parse_run_orders_by_score_then_doc():
     run = parse_run(RUN_TEXT)
     assert run.run_tag == "alpha"
     assert run.topic_ids() == ("1", "2")
-    assert run.ranking("1").doc_ids == ("docC", "docB", "docA")
+    assert RankedList("1", run.topics.get("1", ())).doc_ids == ("docC", "docB", "docA")
     # score tie at 7.5 resolved by doc id
-    assert run.ranking("2").doc_ids == ("docA", "docB")
-    assert run.ranking("99").doc_ids == ()
+    assert RankedList("2", run.topics.get("2", ())).doc_ids == ("docA", "docB")
+    assert RankedList("99", run.topics.get("99", ())).doc_ids == ()
 
 
 def test_parse_run_is_line_order_invariant():
@@ -60,8 +61,10 @@ def test_parse_run_is_line_order_invariant():
 
 def test_parse_run_honor_rank_uses_the_rank_column():
     text = "1 Q0 docA 2 9.0 sys\n1 Q0 docB 1 1.0 sys\n"
-    assert parse_run(text).ranking("1").doc_ids == ("docA", "docB")
-    assert parse_run(text, honor_rank=True).ranking("1").doc_ids == ("docB", "docA")
+    assert RankedList("1", parse_run(text).topics.get("1", ())).doc_ids == ("docA", "docB")
+    assert RankedList("1", parse_run(text, honor_rank=True).topics.get("1", ())).doc_ids == (
+        "docB", "docA"
+    )
 
 
 def test_parse_run_rejects_duplicates_with_line_number():
@@ -257,7 +260,9 @@ def test_serialize_run_round_trips_and_renumbers():
     reparsed = parse_run(text)
     assert reparsed.run_tag == run.run_tag
     for topic in run.topic_ids():
-        assert reparsed.ranking(topic) == run.ranking(topic)
+        assert RankedList(topic, reparsed.topics.get(topic, ())) == RankedList(
+            topic, run.topics.get(topic, ())
+        )
     first = text.splitlines()[0]
     assert first == "1 Q0 docC 1 9.0 alpha"
     # rank column is position in canonical order, not the input rank

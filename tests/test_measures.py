@@ -488,7 +488,7 @@ def test_score_runs_equals_the_scalar_scorers_on_every_cell(depth):
             cfg = MeasureConfig(kind, **settings)
             weights = {m: assign_weights(build_order(space, schema, m), policy) for m in Metric}
             for rf, topic in itertools.product(runs, topics):
-                rl, tag = rf.ranking(topic), rf.run_tag
+                rl, tag = RankedList(topic, rf.topics.get(topic, ())), rf.run_tag
                 for m, w in weights.items():
                     got = matrices[f"{m.short}-{kind}"].score(tag, topic)
                     assert got == clamp(order_score(rl, gt, w, cfg)), (m, kind, tag, topic)

@@ -6,6 +6,7 @@ examples.
 """
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,13 @@ from aspecteval import (
     MissingBestTuple,
     SchemaError,
     apply_rules,
+    assign_weights,
     build_order,
     build_tuple_space,
     check_extends_partial_order,
     join_aspect_qrels,
     parse_qrels,
+    parse_schema,
     score_runs,
 )
 from conftest import run_of
@@ -80,6 +83,32 @@ def test_coupling_rules_agree_with_the_tuple_space(drawn):
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data(), drawn=coupled_schemas())
+def test_a_rendered_schema_parses_back_to_itself(data, drawn):
+    aspects, rules = drawn
+    if ref_unsettled_tuple([a.n_grades for a in aspects], rules) is not None:
+        reject()
+    schema = AspectSchema(aspects, tuple(CouplingRule(*r) for r in rules))
+    body = []
+    for a in schema.aspects:
+        body.append(f"aspect {a.name}")
+        # a decimal, as the format documents; exact for at most 6 fractional digits
+        body += [
+            f"label {label} {Decimal(v.numerator) / v.denominator}"
+            for label, v in zip(a.labels, a.values)
+        ]
+    names, labels = schema.names, [a.labels for a in schema.aspects]
+    couples = [
+        f"couple {names[r.trigger_aspect]} {labels[r.trigger_aspect][r.trigger_label]} "
+        f"{names[r.forced_aspect]} {labels[r.forced_aspect][r.forced_label]}"
+        for r in schema.rules
+    ]
+    # couple lines may come before the aspects they name
+    lines = couples + body if data.draw(st.booleans()) else body + couples
+    assert parse_schema("\n".join(lines) + "\n") == schema
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
 def test_qrels_parsers_settle_rows_as_the_reference_does(data, drawn):
     aspects, rules = drawn
     if ref_unsettled_tuple([a.n_grades for a in aspects], rules) is not None:
@@ -113,9 +142,13 @@ def test_qrels_parsers_settle_rows_as_the_reference_does(data, drawn):
         assert all(type(g) is int for t in gt.entries.values() for g in t)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(data=st.data(), drawn=coupled_schemas())
-def test_appending_unjudged_docs_changes_no_score(data, drawn):
+TOPICS = ["1", "2", "3"]
+DOCS = [f"d{i}" for i in range(6)]
+
+
+def judged_schema(data, drawn) -> tuple[AspectSchema, GroundTruth]:
+    """The schema of ``drawn`` and a ground truth drawn from its tuple space
+    over ``TOPICS`` and ``DOCS``; rejects schemas the tuple space refuses."""
     aspects, rules = drawn
     if ref_unsettled_tuple([a.n_grades for a in aspects], rules) is not None:
         reject()
@@ -124,21 +157,26 @@ def test_appending_unjudged_docs_changes_no_score(data, drawn):
         space = build_tuple_space(schema)
     except (MissingBestTuple, SchemaError):
         reject()
-    topics = ["1", "2", "3"]
-    docs = [f"d{i}" for i in range(6)]
     tuples = st.sampled_from(space.tuples)
     gt = GroundTruth({
         (t, d): data.draw(tuples)
-        for t in topics
-        for d in data.draw(st.lists(st.sampled_from(docs), min_size=1, unique=True))
+        for t in TOPICS
+        for d in data.draw(st.lists(st.sampled_from(DOCS), min_size=1, unique=True))
     })
+    return schema, gt
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_appending_unjudged_docs_changes_no_score(data, drawn):
+    schema, gt = judged_schema(data, drawn)
     rankings = [
-        {t: data.draw(st.lists(st.sampled_from(docs), unique=True)) for t in topics[: 2 + r % 2]}
+        {t: data.draw(st.lists(st.sampled_from(DOCS), unique=True)) for t in TOPICS[: 2 + r % 2]}
         for r in range(3)
     ]
     # docs of other topics' pools and docs no topic judged, after each ranking
     extended = [
-        {t: ranked + [d for d in [*docs, "u0", "u1"] if d not in ranked and gt.get(t, d) is None]
+        {t: ranked + [d for d in [*DOCS, "u0", "u1"] if d not in ranked and gt.get(t, d) is None]
          for t, ranked in per_topic.items()}
         for per_topic in rankings
     ]
@@ -149,3 +187,43 @@ def test_appending_unjudged_docs_changes_no_score(data, drawn):
     assert before.keys() == after.keys()
     for label, matrix in before.items():
         assert np.array_equal(matrix.values, after[label].values), label
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_every_score_lies_in_the_unit_interval(data, drawn):
+    schema, gt = judged_schema(data, drawn)
+    pool = st.sampled_from([*DOCS, "u0", "u1"])  # judged in some topic, or in none
+    runs = [
+        run_of(f"s{r}", {t: data.draw(st.lists(pool, unique=True)) for t in TOPICS[: 1 + r]})
+        for r in range(3)
+    ]
+    matrices = score_runs(
+        runs,
+        gt,
+        schema,
+        weight_policy=data.draw(st.sampled_from(["distinct", "binary"])),
+        mm_variant=data.draw(st.sampled_from(["canonical", "table"])),
+        depth=data.draw(st.sampled_from([None, 1, 3, 8])),
+    )
+    for label, matrix in matrices.items():
+        assert ((matrix.values >= 0.0) & (matrix.values <= 1.0)).all(), label
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_ranking_by_weight_scores_1_on_the_distance_order_ndcg(data, drawn):
+    """Each topic's judged docs by descending weight form an ideal ranking,
+    wherever some judged doc weighs more than 0."""
+    schema, gt = judged_schema(data, drawn)
+    space = build_tuple_space(schema)
+    for metric in Metric:
+        weights = assign_weights(build_order(space, schema, metric), "distinct")
+        weight = {key: weights.of(t) for key, t in gt.entries.items()}
+        ideal = {t: sorted(gt.judged(t), key=lambda d: -weight[t, d]) for t in TOPICS}
+        matrix = score_runs(
+            [run_of("ideal", ideal)], gt, schema, kinds=("ndcg",), metrics=(metric,)
+        )[f"{metric.short}-ndcg"]
+        for topic in TOPICS:
+            expected = 1.0 if any(weight[topic, d] for d in ideal[topic]) else 0.0
+            assert matrix.score("ideal", topic) == expected, (metric, topic)
