@@ -10,10 +10,10 @@ Class 0 is closest to the best tuple.
 
 An order is one key per class and a grid of class indices over the grade
 grid.  The check that it extends Pareto dominance takes a suffix maximum of
-that grid, so it is linear in the grid size; the test suite keeps the dense
-pairwise check as its oracle.  Members and dumps list the grid's cells once;
-a dump joins each member's label from a table of label prefixes over all
-aspects but the last and the last aspect's label.
+that grid on reversed views, so it is linear in the grid size; the test
+suite keeps the dense pairwise check as its oracle.  Members and dumps list
+the grid's cells once; a dump joins each member's label from a table of
+label prefixes over all aspects but the last and the last aspect's label.
 """
 
 from __future__ import annotations
@@ -110,15 +110,19 @@ def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> Dist
     set of the feasible keys is sorted, and a dict numbers the classes.
     """
     schema.check_grid(space.mask.shape)
-    if schema.best_tuple not in space:
+    # the best tuple, every grade at its top, is the grid's last cell
+    if not space.mask.item(-1):
         raise MissingBestTuple("tuple space does not contain the best tuple")
     power = 2 if metric is Metric.EUCLIDEAN else 1
+    # each aspect's steps lie along its own axis: a column of shape
+    # (n_grades, 1, ..., 1) that broadcasting aligns with the later axes
     steps = [
-        np.array([(vals[-1] - v) ** power for v in vals], dtype=object)
-        for vals in schema.scaled_values
+        np.array([(vals[-1] - v) ** power for v in vals], dtype=object).reshape(
+            (-1,) + (1,) * (schema.n_aspects - 1 - axis)
+        )
+        for axis, vals in enumerate(schema.scaled_values)
     ]
-    # np.ix_ lays each aspect's steps along its own axis
-    keys = functools.reduce(np.maximum if metric is Metric.CHEBYSHEV else np.add, np.ix_(*steps))
+    keys = functools.reduce(np.maximum if metric is Metric.CHEBYSHEV else np.add, steps)
     flat = keys[space.mask].tolist()
     distinct = sorted(set(flat))
     rank = dict(zip(distinct, range(len(distinct))))
@@ -133,18 +137,20 @@ def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> b
     Tuple b dominates a when b's embed value is at least a's on every
     aspect; b must then sit in a class no later than a's.  The check takes
     a running maximum of the order's class grid from the top grade down
-    along every axis, and reads each tuple's cell with every grade lowered
-    to the first grade of equal embed value, since equal values dominate
-    each other.  That cell holds the latest class among the tuple's
-    dominators.  Only grade and class indices enter numpy, so embed values
-    of any size stay exact.
+    along every axis, on a reversed view, and on an axis whose embed values
+    tie reads each tuple's cell with its grade lowered to the first grade
+    of equal value, since equal values dominate each other.  That cell
+    holds the latest class among the tuple's dominators.  Only grade and
+    class indices enter numpy, so embed values of any size stay exact.
     """
     schema.check_grid(order.grid.shape)
     grid = order.grid
     for axis, vals in enumerate(schema.scaled_values):
-        grid = np.flip(np.maximum.accumulate(np.flip(grid, axis), axis=axis), axis)
-        grid = grid.take([vals.index(v) for v in vals], axis=axis)
-    return bool(((grid <= order.grid) | (order.grid < 0)).all())
+        down = (slice(None),) * axis + (slice(None, None, -1),)
+        grid = np.maximum.accumulate(grid[down], axis=axis)[down]
+        if len(set(vals)) < len(vals):
+            grid = grid.take([vals.index(v) for v in vals], axis=axis)
+    return not ((grid > order.grid) & (order.grid >= 0)).any()
 
 
 @dataclass(frozen=True)
@@ -187,6 +193,11 @@ def _class_weights(policy: str | Sequence[int], n_classes: int) -> list[int]:
     for hi, lo in zip(explicit, explicit[1:]):
         if lo > hi:
             raise PolicyViolation("explicit weights must not increase with distance")
+    if explicit[-1]:
+        # otherwise a ranking of all-worst documents could score the maximum
+        raise PolicyViolation(
+            "explicit weights must give the last class, which holds the all-worst tuple, 0"
+        )
     return explicit
 
 
@@ -195,7 +206,9 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
 
     ``policy`` is ``"distinct"`` (class i of C gets C-1-i), ``"binary"``
     (1 for the top half of the classes, 0 below), or an explicit
-    non-increasing list of non-negative integers, one per class.
+    non-increasing list of non-negative integers, one per class, whose last
+    entry is 0: the last class holds the all-worst tuple, which every
+    policy weighs zero.
     """
     return WeightAssignment(order, tuple(_class_weights(policy, order.n_classes)))
 

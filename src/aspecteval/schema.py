@@ -86,7 +86,7 @@ class AspectSchema:
                 return i
         raise SchemaError(f"schema has no aspect named {name!r}")
 
-    @property
+    @cached_property
     def grid_shape(self) -> tuple[int, ...]:
         """The shape of the grade grid: the number of grades of each aspect."""
         return tuple(a.n_grades for a in self.aspects)

@@ -332,6 +332,8 @@ def random_explicit_weights(rng, n_classes):
     for _ in range(n_classes):
         weights.append(current)
         current = max(0, current - rng.randint(0, 2))
+    # the last class holds the all-worst tuple, which must weigh 0
+    weights[-1] = 0
     return weights
 
 

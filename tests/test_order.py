@@ -27,8 +27,9 @@ from aspecteval import (
     format_order_dump,
     order_score,
     parse_schema,
+    score_runs,
 )
-from conftest import ground_truth_from
+from conftest import ground_truth_from, run_of
 from reference_impl import (
     ref_build_order,
     ref_extends_dominance,
@@ -234,18 +235,40 @@ def test_order_extends_pareto_on_random_schemas():
     assert outcomes == {True, False}
 
 
-def test_equal_embed_values_tie_and_dominate_each_other():
-    # grades x and y share the value 0, so (0, b) and (1, b) are one point
-    s = parse_schema("aspect a\nlabel x 0\nlabel y 0\naspect b\nlabel p 0\nlabel q 1\n")
+def tied_schema(tied, tie_axis):
+    """Three aspects; the tie_axis one has four grades where grades tied and
+    tied + 1 share a value, the others have two grades of values 0 and 1."""
+    values = [[0, 1]] * 3
+    values[tie_axis] = [g if g <= tied else g - 1 for g in range(4)]
+    return parse_schema("".join(
+        f"aspect a{i}\n" + "".join(f"label g{g} {v}\n" for g, v in enumerate(vals))
+        for i, vals in enumerate(values)
+    ))
+
+
+@pytest.mark.parametrize("tie_axis", [0, 2], ids=["first-axis", "last-axis"])
+@pytest.mark.parametrize("tied", [0, 1, 2], ids=["bottom", "middle", "top"])
+def test_equal_embed_values_tie_and_dominate_each_other(tied, tie_axis):
+    # grades tied and tied + 1 share a value, so tuples that differ only
+    # there are one point: the same class, each dominating the other
+    s = tied_schema(tied, tie_axis)
+
+    def cell(rest, grade):  # the tuple with ``grade`` on the tie axis
+        return (*rest[:tie_axis], grade, *rest[tie_axis:])
+
     for metric in Metric:
         order = build_order(build_tuple_space(s), s, metric)
-        assert order.class_of((0, 1)) == order.class_of((1, 1)) == 0
-        assert order.class_of((0, 0)) == order.class_of((1, 0)) == 1
-        assert check_extends_partial_order(order, s)
-        # splitting a tie ranks a tuple below one it dominates
-        split = with_tuple_moved(order, (0, 1), 1)
-        assert not check_extends_partial_order(split, s)
-        assert not ref_extends_dominance(split, s)
+        for rest in itertools.product(range(2), repeat=2):
+            assert order.class_of(cell(rest, tied)) == order.class_of(cell(rest, tied + 1))
+        assert check_extends_partial_order(order, s) is True
+        assert ref_extends_dominance(order, s) is True
+        # splitting a tie so that the lower grade ranks below the higher
+        # one breaks dominance only through the tie
+        low, high = cell((1, 1), tied), cell((1, 1), tied + 1)
+        c = order.class_of(low)
+        split = with_tuple_moved(order, high, c - 1) if c else with_tuple_moved(order, low, 1)
+        assert check_extends_partial_order(split, s) is False
+        assert ref_extends_dominance(split, s) is False
 
 
 def test_check_detects_a_violating_order(schema):
@@ -450,6 +473,20 @@ def test_explicit_weights_validated(schema):
         assign_weights(order, [3.0, 2, 1, 0, 0])
     with pytest.raises(PolicyViolation, match="unknown weight policy"):
         assign_weights(order, "steepest")
+    with pytest.raises(PolicyViolation, match="all-worst tuple, 0"):
+        assign_weights(order, [9, 7, 7, 1, 1])
+
+
+def test_all_worst_docs_cannot_score_the_maximum():
+    # the anomaly: a ranking of all-worst documents scoring nDCG 1.0, which
+    # an explicit list with a nonzero last weight would allow
+    s = parse_schema("aspect a\nlabel x 0\nlabel y 1\naspect b\nlabel p 0\nlabel q 1\n")
+    gt = ground_truth_from([("1", "d1", (0, 0)), ("1", "d2", (0, 0))], s)
+    run = run_of("r", {"1": ["d1", "d2"]})
+    with pytest.raises(PolicyViolation, match="all-worst tuple, 0"):
+        score_runs([run], gt, s, metrics=(Metric.EUCLIDEAN,), weight_policy=[3, 2, 1])
+    scores = score_runs([run], gt, s, metrics=(Metric.EUCLIDEAN,), weight_policy=[3, 2, 0])
+    assert scores["EUCL-ndcg"].score("r", "1") == 0.0
 
 
 def test_order_dump_format(schema):

@@ -227,3 +227,34 @@ def test_ranking_by_weight_scores_1_on_the_distance_order_ndcg(data, drawn):
         for topic in TOPICS:
             expected = 1.0 if any(weight[topic, d] for d in ideal[topic]) else 0.0
             assert matrix.score("ideal", topic) == expected, (metric, topic)
+
+
+@st.composite
+def one_aspect_schemas(draw):
+    """One aspect of 2-5 grades with strictly increasing embed values in
+    halves, as (aspects, rules); tied values would merge classes."""
+    n = draw(st.integers(2, 5))
+    halves = sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n, unique=True)))
+    labels = tuple(f"g{g}" for g in range(n))
+    return (Aspect("a0", labels, tuple(Fraction(h, 2) for h in halves)),), []
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), drawn=one_aspect_schemas())
+def test_one_aspect_reduces_to_graded_ndcg(data, drawn):
+    """With one aspect, every distance order ranks the grades themselves, so
+    the distance-order measures equal the single-aspect ones."""
+    schema, gt = judged_schema(data, drawn)
+    pool = st.sampled_from([*DOCS, "u0"])
+    runs = [
+        run_of(f"s{r}", {t: data.draw(st.lists(pool, unique=True)) for t in TOPICS[: 1 + r]})
+        for r in range(3)
+    ]
+    for depth in (None, 3):
+        m = score_runs(runs, gt, schema, depth=depth)
+        cam = m["CAM-ndcg"].values
+        for metric in Metric:
+            assert np.array_equal(m[f"{metric.short}-ndcg"].values, cam), (metric, depth)
+        assert np.allclose(m["MM-ndcg"].values, cam, rtol=0.0, atol=1e-15), depth
+        if schema.aspects[0].n_grades == 2:
+            assert np.array_equal(m["EUCL-ap"].values, m["CAM-ap"].values), depth
