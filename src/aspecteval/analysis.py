@@ -64,6 +64,17 @@ class CorrelationReport:
     equivalent: bool
 
 
+def _check_same_cells(matrices: Sequence[ScoreMatrix]) -> None:
+    """Raise ``MatrixMismatch`` unless every table of a non-empty list covers
+    the first one's runs and topics."""
+    first = matrices[0]
+    for other in matrices[1:]:
+        if (other.run_tags, other.topic_ids) != (first.run_tags, first.topic_ids):
+            raise MatrixMismatch(
+                f"matrices {first.measure!r} and {other.measure!r} cover different runs or topics"
+            )
+
+
 def measure_correlation(m1: ScoreMatrix, m2: ScoreMatrix) -> CorrelationReport:
     """Per-topic tau between the system rankings two measures induce.
 
@@ -71,10 +82,7 @@ def measure_correlation(m1: ScoreMatrix, m2: ScoreMatrix) -> CorrelationReport:
     from the mean (tau undefined there).  The ``equivalent`` flag marks a
     mean above 0.9.
     """
-    if m1.run_tags != m2.run_tags or m1.topic_ids != m2.topic_ids:
-        raise MatrixMismatch(
-            f"matrices {m1.measure!r} and {m2.measure!r} cover different runs or topics"
-        )
+    _check_same_cells((m1, m2))
     if len(m1.run_tags) < 2:
         raise ConfigError("measure correlation needs at least two runs")
     per_topic: dict[str, float] = {}
@@ -301,12 +309,8 @@ def discriminative_powers(
     """
     if not matrices:
         raise ConfigError("discriminative power needs at least one score table")
+    _check_same_cells(matrices)
     m = matrices[0]
-    for other in matrices[1:]:
-        if other.run_tags != m.run_tags or other.topic_ids != m.topic_ids:
-            raise MatrixMismatch(
-                f"matrices {m.measure!r} and {other.measure!r} cover different runs or topics"
-            )
     if len(m.run_tags) < 2:
         raise ConfigError("discriminative power needs at least two runs")
     if len(m.topic_ids) < 2:

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .analysis import (
+    _check_same_cells,
     discriminative_powers,
     measure_correlation,
     quality_bands,
@@ -386,6 +387,7 @@ def cmd_analyze(st: Settings) -> int:
     labels = [m.measure for m in matrices]
     if len(set(labels)) != len(labels):
         raise ConfigError("score tables must carry distinct measure labels")
+    _check_same_cells(matrices)
 
     audit_inputs = (st.get(SCHEMA), st.get(QRELS), st.get(RUNS))
     if any(audit_inputs) and not all(audit_inputs):

@@ -169,10 +169,7 @@ def _class_of(order: DistanceOrder, t: LabelTuple) -> int:
 def _weight_column(
     judged: Mapping[str, LabelTuple], weights: WeightAssignment
 ) -> dict[str, float]:
-    try:
-        return {d: float(weights.of(t)) for d, t in judged.items()}
-    except KeyError as exc:
-        raise ConfigError(f"judged tuple without a weight: {exc}") from None
+    return {d: float(weights.per_class[_class_of(weights.order, t)]) for d, t in judged.items()}
 
 
 def order_score(
@@ -354,10 +351,6 @@ class ScoreMatrix:
         row = self.values[self.run_tags.index(run_tag)].tolist()
         return left_sum(row) / len(row)
 
-    def topic_scores(self, topic_id: str) -> list[float]:
-        """Scores of all runs on one topic, in run_tag order."""
-        return self.values[:, self.topic_ids.index(topic_id)].tolist()
-
 
 def _pool_index(
     judged: Sequence[Mapping[str, LabelTuple]],
@@ -368,12 +361,13 @@ def _pool_index(
     order: their grades as (doc, aspect), their classes as (order, doc), and
     where they sit in a (topic, row) layout padded with at least one row
     past every topic's pool.  A tuple off the grid or off an order fails as
-    in ``_weight_column``, naming the first such tuple of the first topic."""
+    in ``_class_of``, naming the first such tuple of the first topic; with no
+    order to place it, a tuple off the grid fails here."""
     pooled = list(itertools.chain.from_iterable(j.values() for j in judged))
     try:
         grades = np.array(pooled, dtype=np.int64)
         cells = np.ravel_multi_index(grades.T, grid_shape)
-    except (ValueError, OverflowError, TypeError):
+    except (ValueError, OverflowError):  # judged grades are ints
         _check_placed(judged, orders)
         raise ConfigError("judged tuple off the grade grid") from None
     classes = np.array([order.grid.reshape(-1)[cells] for order in orders], dtype=np.intp)

@@ -19,55 +19,54 @@ from .measures import ScoreMatrix
 ALL_TOPIC = "all"
 
 
-def _headers(meta: Mapping[str, object] | None) -> list[str]:
-    lines = [f"# tool: aspecteval {__version__}"]
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}: {value}")
-    return lines
+def _tsv(meta: Mapping[str, object] | None, rows: Iterable[str]) -> str:
+    """The ``# key: value`` header lines, then ``rows``, one per line."""
+    headers = [f"# tool: aspecteval {__version__}"]
+    headers += (f"# {key}: {value}" for key, value in (meta or {}).items())
+    return "\n".join([*headers, *rows]) + "\n"
 
 
 def render_scores(matrix: ScoreMatrix, meta: Mapping[str, object] | None = None) -> str:
     """Rows ``run_tag topic measure score`` (4 decimals), grouped by run with
     an ``all`` pseudo-topic row carrying the mean over topics."""
-    lines = _headers(meta)
+    rows = []
     for run, row in zip(matrix.run_tags, matrix.values.tolist()):
         for topic, score in zip(matrix.topic_ids, row):
-            lines.append(f"{run}\t{topic}\t{matrix.measure}\t{score:.4f}")
-        lines.append(f"{run}\t{ALL_TOPIC}\t{matrix.measure}\t{matrix.mean(run):.4f}")
-    return "\n".join(lines) + "\n"
+            rows.append(f"{run}\t{topic}\t{matrix.measure}\t{score:.4f}")
+        rows.append(f"{run}\t{ALL_TOPIC}\t{matrix.measure}\t{matrix.mean(run):.4f}")
+    return _tsv(meta, rows)
 
 
 def parse_scores(text: str) -> ScoreMatrix:
-    """Read a score TSV back into a matrix, ignoring comments and the
-    ``all`` summary rows; each (run, topic) pair, ``all`` included, comes once."""
+    """Read a score TSV back into a matrix, ignoring comments.  Every row,
+    the ``all`` summary rows included, carries the one measure label and a
+    numeric score; each (run, topic) pair comes once, and a run with an
+    ``all`` row has topic rows too.  The ``all`` rows are then dropped."""
     cells: dict[tuple[str, str], float] = {}
-    seen: set[tuple[str, str]] = set()
     measure: str | None = None
     for lineno, line in _iter_lines(text):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", lineno)
         run, topic, label, score_s = parts
-        if (run, topic) in seen:
+        if (run, topic) in cells:
             raise ParseError(f"duplicate cell ({run}, {topic})", lineno)
-        seen.add((run, topic))
-        if topic == ALL_TOPIC:
-            continue
         if measure is None:
             measure = label
         elif label != measure:
-            raise ParseError(
-                f"mixed measure labels {measure!r} and {label!r}", lineno
-            )
+            raise ParseError(f"mixed measure labels {measure!r} and {label!r}", lineno)
         try:
-            score = float(score_s)
+            cells[(run, topic)] = float(score_s)
         except ValueError:
             raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
-        cells[(run, topic)] = score
-    if not cells or measure is None:
+    scores = {cell: score for cell, score in cells.items() if cell[1] != ALL_TOPIC}
+    if not scores:
         raise ParseError("score table has no data rows")
+    summary_only = sorted({run for run, _ in cells} - {run for run, _ in scores})
+    if summary_only:
+        raise ParseError(f"run {summary_only[0]!r} has only an {ALL_TOPIC!r} row")
     try:
-        return ScoreMatrix.build(measure, cells)
+        return ScoreMatrix.build(measure, scores)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -81,12 +80,9 @@ def render_correlation(
     meta["measures"] = f"{report.measure_a} vs {report.measure_b}"
     meta["excluded_topics"] = report.excluded
     meta["equivalent"] = "yes" if report.equivalent else "no"
-    lines = _headers(meta)
-    for topic in sorted(report.per_topic):
-        lines.append(f"{topic}\t{report.per_topic[topic]:.4f}")
     mean = "na" if report.mean_tau is None else f"{report.mean_tau:.4f}"
-    lines.append(f"mean\t{mean}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{topic}\t{report.per_topic[topic]:.4f}" for topic in sorted(report.per_topic)]
+    return _tsv(meta, [*rows, f"mean\t{mean}"])
 
 
 def render_dp(report: DPReport, meta: Mapping[str, object] | None = None) -> str:
@@ -96,44 +92,33 @@ def render_dp(report: DPReport, meta: Mapping[str, object] | None = None) -> str
     meta["bootstrap_samples"] = report.b_samples
     meta["alpha"] = report.alpha
     meta["seed"] = report.seed
-    lines = _headers(meta)
-    for p in report.pairs:
-        lines.append(
-            f"{p.run_a}\t{p.run_b}\t{p.t:.4f}\t{p.asl:.4f}\t"
-            f"{1 if p.significant else 0}"
-        )
-    lines.append(f"percentage\t{report.percentage:.2f}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        f"{p.run_a}\t{p.run_b}\t{p.t:.4f}\t{p.asl:.4f}\t{1 if p.significant else 0}"
+        for p in report.pairs
+    ]
+    return _tsv(meta, [*rows, f"percentage\t{report.percentage:.2f}"])
 
 
 def render_zero_aspect(
     report: ZeroAspectReport, meta: Mapping[str, object] | None = None
 ) -> str:
     """Rows ``rank count percent`` for ranks 1..k plus the 1..k total."""
-    lines = _headers(meta)
-    for row in (*report.rows, report.total):
-        lines.append(f"{row.rank}\t{row.count}\t{row.percent:.2f}")
-    return "\n".join(lines) + "\n"
+    rows = (*report.rows, report.total)
+    return _tsv(meta, (f"{r.rank}\t{r.count}\t{r.percent:.2f}" for r in rows))
 
 
 def render_quality_bands(
     report: QualityBandReport, meta: Mapping[str, object] | None = None
 ) -> str:
     """Rows ``band mean_sum``; bands nobody retrieved into are omitted."""
-    lines = _headers(meta)
-    for row in report.rows:
-        if row.mean_sum is None:
-            continue
-        lines.append(f"{row.band[0]}-{row.band[1]}\t{row.mean_sum:.4f}")
-    return "\n".join(lines) + "\n"
+    rows = (r for r in report.rows if r.mean_sum is not None)
+    return _tsv(meta, (f"{r.band[0]}-{r.band[1]}\t{r.mean_sum:.4f}" for r in rows))
 
 
 def render_grades(grades: Mapping[str, int], meta: Mapping[str, object] | None = None) -> str:
     """One ``docid grade`` row per document, sorted by doc id."""
-    lines = _headers(meta)
-    lines.extend(f"{doc}\t{grades[doc]}" for doc in sorted(grades))
-    return "\n".join(lines) + "\n"
+    return _tsv(meta, (f"{doc}\t{grades[doc]}" for doc in sorted(grades)))
 
 
 def render_order_dump(dump_body: str, meta: Mapping[str, object] | None = None) -> str:
-    return "\n".join(_headers(meta)) + "\n" + dump_body
+    return _tsv(meta, ()) + dump_body

@@ -19,7 +19,7 @@ import re
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import lt
+from operator import index, lt
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -349,7 +349,9 @@ def build_tuple_space(schema: AspectSchema) -> TupleSpace:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Judged label tuples keyed by (topic_id, doc_id)."""
+    """Judged label tuples keyed by (topic_id, doc_id).  Every grade is an
+    integer, as ``operator.index`` decides: a float or string grade raises
+    ``ValueError`` here, where numpy would truncate or parse it."""
 
     entries: Mapping[tuple[str, str], LabelTuple]
     _by_topic: dict[str, dict[str, LabelTuple]] = field(init=False, repr=False, compare=False)
@@ -357,10 +359,16 @@ class GroundTruth:
     def __post_init__(self):
         # A read-only view of a private copy: get() and the index below
         # always see the same judgments.
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        object.__setattr__(self, "_by_topic", {})
-        for (t, d), lt in self.entries.items():
-            self._by_topic.setdefault(t, {})[d] = lt
+        entries: dict[tuple[str, str], LabelTuple] = {}
+        by_topic: dict[str, dict[str, LabelTuple]] = {}
+        for (t, d), given in self.entries.items():
+            try:
+                grades = tuple(map(index, given))
+            except TypeError:
+                raise ValueError(f"judged ({t}, {d}) has a non-integer grade: {given!r}") from None
+            entries[(t, d)] = by_topic.setdefault(t, {})[d] = grades
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "_by_topic", by_topic)
 
     def get(self, topic_id: str, doc_id: str) -> LabelTuple | None:
         return self.entries.get((topic_id, doc_id))

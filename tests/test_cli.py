@@ -517,6 +517,27 @@ def test_analyze_rejects_misaligned_score_tables(env, capsys):
     assert "different runs or topics" in capsys.readouterr().err
 
 
+def test_analyze_checks_the_tables_before_the_audits_load_runs(env, capsys):
+    assert evaluate(env) == 0
+    stray = env / "other.tsv"
+    stray.write_text("x\t1\tOTHER\t0.5000\ny\t1\tOTHER\t0.1000\n")
+    code = main(
+        [
+            "analyze",
+            "--scores", str(env / "out" / "scores_EUCL-ndcg.tsv"), str(stray),
+            "--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+            "--runs", str(env / "no-such-runs"),
+            "--seed", "1",
+            "--out", str(env / "reports"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "matrices 'EUCL-ndcg' and 'OTHER' cover different runs or topics" in err
+    assert "run path not found" not in err
+    assert not (env / "reports").exists()
+
+
 def test_analyze_tables_do_not_leak_into_each_other(tmp_path):
     """Three 16-run x 100-topic tables analyzed together write the same
     dp_<label>.tsv as three one-table calls: the tables share each pair's
@@ -1173,3 +1194,19 @@ def test_parse_scores_rejects_malformed_tables():
     # a judged topic named 'all' next to the mean row
     with pytest.raises(ParseError, match=r"^line 4: duplicate cell \(a, all\)$"):
         parse_scores("a\t1\tX\t0.5\na\tall\tX\t1.0\nb\t1\tX\t0.5\na\tall\tX\t0.75\n")
+
+
+def test_parse_scores_checks_the_all_rows_like_every_row():
+    from aspecteval import ParseError
+
+    rows = "a\t1\tX\t0.5\na\tall\tX\t0.5\nb\t1\tX\t0.2\n"
+    assert parse_scores(rows + "b\tall\tX\t0.2\n").run_tags == ("a", "b")
+    with pytest.raises(ParseError, match=r"^line 4: mixed measure labels 'X' and 'Y'$"):
+        parse_scores(rows + "b\tall\tY\t0.2\n")
+    with pytest.raises(ParseError, match=r"^line 4: mixed measure labels 'X' and 'Y'$"):
+        parse_scores(rows + "b\tall\tY\tbanana\n")
+    with pytest.raises(ParseError, match=r"^line 4: non-numeric score 'banana'$"):
+        parse_scores(rows + "b\tall\tX\tbanana\n")
+    # a run whose one row is its mean has no topic scores; it is not dropped
+    with pytest.raises(ParseError, match=r"^run 'c' has only an 'all' row$"):
+        parse_scores(rows + "c\tall\tX\t0.9\n")

@@ -394,7 +394,6 @@ def test_score_matrix_build_and_means():
     assert m.run_tags == ("a", "b")
     assert m.topic_ids == ("1", "2")
     assert m.mean("a") == pytest.approx(0.75)
-    assert m.topic_scores("1") == [0.5, 0.0]
     with pytest.raises(ValueError, match="missing cell"):
         ScoreMatrix.build("X", {("a", "1"): 0.5, ("b", "2"): 0.5})
     with pytest.raises(ValueError, match="out of range"):

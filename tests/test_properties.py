@@ -258,3 +258,61 @@ def test_one_aspect_reduces_to_graded_ndcg(data, drawn):
         assert np.allclose(m["MM-ndcg"].values, cam, rtol=0.0, atol=1e-15), depth
         if schema.aspects[0].n_grades == 2:
             assert np.array_equal(m["EUCL-ap"].values, m["CAM-ap"].values), depth
+
+
+def draw_policy(data, n_classes):
+    """A weight policy ``assign_weights`` accepts for ``n_classes`` classes:
+    a named one, or an explicit non-increasing list whose last entry is 0."""
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=n_classes - 1, max_size=n_classes - 1))
+    return data.draw(st.sampled_from(["distinct", "binary", sorted(weights, reverse=True) + [0]]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_moving_a_closer_doc_up_lowers_no_distance_order_score(data, drawn):
+    """Swap two adjacent docs so that the one in the class nearer the best
+    tuple comes first (an unjudged doc lies past every class): under any
+    policy the nDCG and AP cells of that order do not fall."""
+    schema, gt = judged_schema(data, drawn)
+    space = build_tuple_space(schema)
+    pool = st.sampled_from([*DOCS, "u0", "u1"])
+    depth = data.draw(st.sampled_from([None, 1, 3, 8]))
+    for metric in Metric:
+        order = build_order(space, schema, metric)
+        rank = {key: order.class_of(t) for key, t in gt.entries.items()}
+        before, after = {}, {}
+        for topic in TOPICS:
+            ranked = data.draw(st.lists(pool, min_size=2, unique=True))
+            i = data.draw(st.integers(0, len(ranked) - 2))
+            pair = sorted(ranked[i : i + 2], key=lambda d: rank.get((topic, d), order.n_classes))
+            before[topic] = [*ranked[:i], *pair[::-1], *ranked[i + 2 :]]
+            after[topic] = [*ranked[:i], *pair, *ranked[i + 2 :]]
+        policy = draw_policy(data, order.n_classes)
+        old, new = (
+            score_runs([run_of("s", r)], gt, schema, metrics=(metric,), weight_policy=policy,
+                       depth=depth)
+            for r in (before, after)
+        )
+        for kind in ("ndcg", "ap"):
+            label = f"{metric.short}-{kind}"
+            assert (new[label].values >= old[label].values).all(), (label, policy)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), drawn=coupled_schemas())
+def test_a_ranking_of_all_worst_docs_scores_0_on_every_distance_order(data, drawn):
+    schema, gt = judged_schema(data, drawn)
+    worst = {(t, d): schema.worst_tuple for t in TOPICS for d in ("w0", "w1")}
+    gt = GroundTruth({**gt.entries, **worst})
+    pool = st.sampled_from(["w0", "w1", "u0"])  # all-worst, or unjudged
+    runs = [
+        run_of(f"s{r}", {t: data.draw(st.lists(pool, min_size=1, unique=True)) for t in TOPICS})
+        for r in range(2)
+    ]
+    space = build_tuple_space(schema)
+    for metric in Metric:
+        policy = draw_policy(data, build_order(space, schema, metric).n_classes)
+        matrices = score_runs(runs, gt, schema, metrics=(metric,), weight_policy=policy)
+        for kind in ("ndcg", "ap"):
+            label = f"{metric.short}-{kind}"
+            assert not matrices[label].values.any(), (label, policy)

@@ -3,6 +3,7 @@ import random
 from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aspecteval import (
@@ -208,6 +209,15 @@ def test_ground_truth_cannot_change_after_construction():
     assert gt.get("2", "d9") is None and gt.get("1", "d1") == (1, 2)
     assert gt.topics() == ("1",) and gt.judged("1") == {"d1": (1, 2)}
     assert len(gt) == 1
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0), ("1", 0), (1, None), 1])
+def test_ground_truth_takes_integer_grades_only(bad):
+    # numpy would truncate 1.5 and parse "1", and score either as grade 1
+    with pytest.raises(ValueError, match=r"^judged \(7, d3\) has a non-integer grade"):
+        GroundTruth({("1", "d1"): (1, 0), ("7", "d3"): bad})
+    gt = GroundTruth({("1", "d1"): [np.int64(1), 0]})
+    assert gt.get("1", "d1") == (1, 0) and type(gt.get("1", "d1")[0]) is int
 
 
 def test_ground_truth_rejects_rule_violations(schema):
