@@ -12,8 +12,9 @@ An order is one key per class and a grid of class indices over the grade
 grid.  The check that it extends Pareto dominance takes a suffix maximum of
 that grid on reversed views, so it is linear in the grid size; the test
 suite keeps the dense pairwise check as its oracle.  Members and dumps list
-the grid's cells once; a dump joins each member's label from a table of
-label prefixes over all aspects but the last and the last aspect's label.
+the grid's cells once, sorted by class in the smallest integer type that
+holds the class count; a dump joins each class's slice of one flat list of
+label prefixes (over all aspects but the last), last labels and separators.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ class DistanceOrder:
         cells = np.flatnonzero(self.grid >= 0)[::-1]
         cls = self.grid.ravel()[cells]
         ends = np.cumsum(np.bincount(cls, minlength=self.n_classes)).tolist()
-        return cells[np.argsort(cls, kind="stable")], list(zip(self.keys, [0, *ends], ends))
+        # numpy radix-sorts 8- and 16-bit keys when the sort is stable
+        by_class = np.argsort(cls.astype(np.min_scalar_type(self.n_classes)), kind="stable")
+        return cells[by_class], list(zip(self.keys, [0, *ends], ends))
 
     def class_of(self, t: LabelTuple) -> int:
         """Index of the class containing ``t`` (0 = closest to best)."""
@@ -220,8 +223,9 @@ def format_order_dump(order: DistanceOrder) -> str:
         class 1 dist 1 : fr,c;hr,pc
 
     A member's label is its prefix, the labels of all aspects but the last
-    (read from one table over that smaller grid), then its last label.  Each
-    line joins those pieces, without a string per member.
+    (read from one table over that smaller grid), then its last label.  One
+    flat list holds prefix, last label and separator per member, and each
+    line joins its slice of it, without a string per member.
     """
     *head, last = order.schema.aspects
     prefixes = [""]
@@ -229,13 +233,17 @@ def format_order_dump(order: DistanceOrder) -> str:
         prefixes = [p + label + "," for p in prefixes for label in aspect.labels]
     cells, spans = order._cells()
     prefix, grade = np.divmod(cells, last.n_grades)
-    pieces = np.empty((len(cells), 3), dtype=object)  # prefix, last label, separator
-    pieces[:, 0] = np.array(prefixes, dtype=object)[prefix]
-    pieces[:, 1] = np.array(last.labels, dtype=object)[grade]
-    pieces[:, 2] = ";"
-    flat = pieces.ravel().tolist()
+    del cells
+    # each temporary is dropped once stored: they set the dump's peak memory
+    flat = [";"] * (3 * len(prefix))
+    flat[0::3] = np.array(prefixes, dtype=object)[prefix].tolist()
+    del prefix
+    flat[1::3] = np.array(last.labels, dtype=object)[grade].tolist()
+    del grade
     lines = [
         f"class {i} dist {k} : " + "".join(flat[3 * a : 3 * b - 1])
         for i, (k, a, b) in enumerate(spans)
     ]
-    return "\n".join(lines) + "\n"
+    del flat
+    lines.append("")  # the final newline, without a copy of the whole dump
+    return "\n".join(lines)

@@ -8,6 +8,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 from . import __version__
@@ -17,6 +18,10 @@ from .ingest import _iter_lines
 from .measures import ScoreMatrix
 
 ALL_TOPIC = "all"
+# An ``all`` row and the topic scores it averages are each printed at 4
+# decimals, so the mean of the parsed scores may sit up to 0.5e-4 + 0.5e-4
+# from it; the 1e-9 absorbs the float error of that difference.
+_MEAN_SLACK = 1e-4 + 1e-9
 
 
 def _tsv(meta: Mapping[str, object] | None, rows: Iterable[str]) -> str:
@@ -41,8 +46,11 @@ def parse_scores(text: str) -> ScoreMatrix:
     """Read a score TSV back into a matrix, ignoring comments.  Every row,
     the ``all`` summary rows included, carries the one measure label and a
     numeric score; each (run, topic) pair comes once, and a run with an
-    ``all`` row has topic rows too.  The ``all`` rows are then dropped."""
+    ``all`` row has topic rows too.  An ``all`` row must be finite and
+    within ``_MEAN_SLACK`` of its run's mean over the parsed topic scores;
+    the ``all`` rows are then dropped."""
     cells: dict[tuple[str, str], float] = {}
+    all_lines: dict[str, int] = {}
     measure: str | None = None
     for lineno, line in _iter_lines(text):
         parts = line.split("\t")
@@ -59,6 +67,8 @@ def parse_scores(text: str) -> ScoreMatrix:
             cells[(run, topic)] = float(score_s)
         except ValueError:
             raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
+        if topic == ALL_TOPIC:
+            all_lines[run] = lineno
     scores = {cell: score for cell, score in cells.items() if cell[1] != ALL_TOPIC}
     if not scores:
         raise ParseError("score table has no data rows")
@@ -66,9 +76,16 @@ def parse_scores(text: str) -> ScoreMatrix:
     if summary_only:
         raise ParseError(f"run {summary_only[0]!r} has only an {ALL_TOPIC!r} row")
     try:
-        return ScoreMatrix.build(measure, scores)
+        matrix = ScoreMatrix.build(measure, scores)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    for run, lineno in all_lines.items():  # in line order
+        score, mean = cells[(run, ALL_TOPIC)], matrix.mean(run)
+        if not math.isfinite(score) or abs(score - mean) > _MEAN_SLACK:
+            raise ParseError(
+                f"{ALL_TOPIC!r} score {score!r} of run {run!r} is not its mean {mean:.4f}", lineno
+            )
+    return matrix
 
 
 def render_correlation(

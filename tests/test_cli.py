@@ -1210,3 +1210,41 @@ def test_parse_scores_checks_the_all_rows_like_every_row():
     # a run whose one row is its mean has no topic scores; it is not dropped
     with pytest.raises(ParseError, match=r"^run 'c' has only an 'all' row$"):
         parse_scores(rows + "c\tall\tX\t0.9\n")
+
+
+@pytest.mark.parametrize("score", ["0.9", "nan", "7", "inf", "0.2002"])
+def test_parse_scores_rejects_an_all_row_that_is_not_the_mean(score):
+    from aspecteval import ParseError
+
+    # the 'all' row of run a is the table's second line, after run b's rows
+    text = f"b\t1\tX\t0.5\na\tall\tX\t{score}\nb\tall\tX\t0.5\na\t1\tX\t0.2\n"
+    with pytest.raises(ParseError, match=r"^line 2: 'all' score .* of run 'a' is not its mean 0\.2000$"):
+        parse_scores(text)
+    assert parse_scores(text.replace(score, "0.2001")).score("a", "1") == 0.2
+
+
+def test_parse_scores_reads_back_tables_rendered_from_unrounded_scores():
+    rng = random.Random(4)
+    cells = {(f"r{r}", f"{t}"): rng.random() for r in range(40) for t in range(37)}
+    # topic scores that round away from their mean in both directions
+    cells.update({("near", "0"): 0.12344999, ("near", "1"): 0.12345001})
+    cells.update({("near", f"{t}"): 0.5 for t in range(2, 37)})
+    matrix = ScoreMatrix.build("X", cells)
+    back = parse_scores(render_scores(matrix))
+    assert back.run_tags == matrix.run_tags and back.topic_ids == matrix.topic_ids
+
+
+def test_analyze_exits_2_on_an_all_row_that_is_not_the_mean(env, capsys):
+    assert evaluate(env) == 0
+    table = env / "out" / "scores_EUCL-ndcg.tsv"
+    lines = table.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.split("\t")[1:2] == ["all"])
+    run, topic, label, _ = lines[at].split("\t")
+    lines[at] = f"{run}\t{topic}\t{label}\tnan\n"
+    edited = env / "edited.tsv"
+    edited.write_text("".join(lines))
+    out = env / "reports"
+    code = main(["analyze", "--scores", str(edited), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert f"line {at + 1}: 'all' score nan of run '{run}' is not its mean" in capsys.readouterr().err
+    assert not out.exists()

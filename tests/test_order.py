@@ -3,6 +3,7 @@ the reference embeddings (three correctness embeddings x three metrics)."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from aspecteval import (
 )
 from conftest import ground_truth_from, run_of
 from reference_impl import (
+    SYNTH_SCHEMA,
     ref_build_order,
     ref_extends_dominance,
     ref_tuple_space,
@@ -384,6 +386,63 @@ def test_orders_at_workload_size_equal_the_oracle():
             f"class {i} dist {key} : " + ";".join(map(label.get, members)) + "\n"
             for i, (key, members) in enumerate(expected)
         )
+
+
+def random_three_aspect_schema():
+    """Three aspects of 45 grades with seeded random 3-decimal steps: 91,125
+    tuples, nearly every one its own Euclidean class."""
+    rng = random.Random(45)
+    lines = []
+    for a in range(3):
+        lines.append(f"aspect a{a}")
+        milli = 0
+        for g in range(45):
+            lines.append(f"label g{g} {milli / 1000:.3f}")
+            milli += rng.randint(1, 2000)
+    return parse_schema("\n".join(lines) + "\n")
+
+
+# _cells sorts the class indices in the smallest type that holds the class
+# count, so each schema here takes one of the three types it can pick.
+@pytest.mark.parametrize(
+    "make, key_type",
+    [
+        (lambda: parse_schema(SYNTH_SCHEMA), np.uint8),
+        (wide_schema, np.uint16),
+        (random_three_aspect_schema, np.uint32),
+    ],
+    ids=["ac9", "wide", "three-by-45"],
+)
+def test_members_come_by_class_then_descending_cell_for_every_key_type(make, key_type):
+    schema = make()
+    order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
+    assert np.min_scalar_type(order.n_classes) == key_type
+    cells = np.flatnonzero(order.grid >= 0)
+    classes = order.grid.ravel()[cells]
+    by_class = cells[np.lexsort((-cells, classes))]
+    members = list(zip(*np.array(np.unravel_index(by_class, order.grid.shape)).tolist()))
+    ends = np.cumsum(np.bincount(classes, minlength=order.n_classes)).tolist()
+    expected = [members[a:b] for a, b in zip([0, *ends], ends)]
+    assert [list(c.members) for c in order.classes] == expected
+    labels = [a.labels for a in schema.aspects]
+    assert format_order_dump(order) == "".join(
+        f"class {i} dist {key} : "
+        + ";".join(",".join(ls[g] for ls, g in zip(labels, t)) for t in group) + "\n"
+        for i, (key, group) in enumerate(zip(order.keys, expected))
+    )
+
+
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.CHEBYSHEV])
+def test_order_dump_peaks_below_five_times_its_size(metric):
+    schema = wide_schema()
+    order = build_order(build_tuple_space(schema), schema, metric)
+    tracemalloc.start()
+    try:
+        dump = format_order_dump(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(dump)
 
 
 def test_keys_beyond_64_bits_that_tie_share_one_class():
