@@ -41,7 +41,6 @@ from .ingest import (
 from .measures import AP, CANONICAL, NDCG, TABLE, score_runs
 from .order import Metric, build_order, format_order_dump
 from .reports import (
-    ALL_TOPIC,
     parse_scores,
     render_correlation,
     render_dp,
@@ -92,7 +91,7 @@ EVAL_METRIC = Option("--metric", "order.metric", "distance metric or all", "all"
 WEIGHTS = Option("--weights", "order.weights", "nDCG weights", "distinct", ("distinct", "binary"))
 KIND = Option("--measure", "measure.kind", "measure kind", "both", (NDCG, AP, "both"))
 DEPTH = Option("--depth", "measure.depth", "evaluation depth (integer or 'full')")
-MM_VARIANT = Option("--mm-variant", "mm.variant", "MM variant", CANONICAL, (CANONICAL, TABLE))
+MM_VARIANT = Option("--mm-variant", "mm.variant", "harmonic-mean variant", CANONICAL, (CANONICAL, TABLE))
 HONOR_RANK = Option("--honor-rank", None, "order runs by their rank column, not score", switch=True)
 SEED = Option("--seed", "analysis.seed", "RNG seed for the bootstrap (required)")
 BOOTSTRAP = Option("--bootstrap", "analysis.bootstrap", "bootstrap sample count", "10000")
@@ -115,7 +114,8 @@ def _unknown(what: str, name: str, known, where: str = "") -> ConfigError:
     """The error for an unknown name, with the closest known one as a hint."""
     import difflib  # only on this error path
 
-    close = difflib.get_close_matches(name, sorted(known), n=1)
+    known = sorted(known)
+    close = [k for k in known if k.lower() == name.lower()] or difflib.get_close_matches(name, known, 1)
     hint = f"; did you mean {close[0]!r}?" if close else ""
     return ConfigError(f"unknown {what} {name!r}{where}{hint}")
 
@@ -194,6 +194,8 @@ class Settings:
                 value = value.split()
         if value is None:
             value = opt.default if default is None else default
+        if opt.choices and value not in opt.choices:  # a flag's value is checked by argparse
+            raise _unknown(opt.help, value, opt.choices, f" in config key {opt.key!r}")
         if value is not None and (opt.switch or opt.key and not opt.key.startswith(PATH_KEYS)):
             self.used[opt.key or opt.flag] = str(value)
         return value
@@ -349,12 +351,10 @@ def cmd_evaluate(st: Settings) -> int:
     """score runs against multi-aspect qrels"""
     schema = st.load_schema(_require(st.get(SCHEMA), "schema path"))
     gt = _load_ground_truth(st, _require(st.get(QRELS), "qrels path"), schema)
-    if ALL_TOPIC in gt.topics():
-        raise ConfigError(f"topic id {ALL_TOPIC!r} is reserved for score means; the qrels judge it")
     runs = _load_runs(_require(st.get(RUNS), "runs path"), bool(st.get(HONOR_RANK)))
 
     metric_name = st.get(EVAL_METRIC)
-    metrics = tuple(Metric) if metric_name.lower() == "all" else (Metric.parse(metric_name),)
+    metrics = tuple(Metric) if metric_name == "all" else (Metric.parse(metric_name),)
     kind = st.get(KIND)
     kinds = (NDCG, AP) if kind == "both" else (kind,)
     depth = st.get(DEPTH)
@@ -445,11 +445,9 @@ def cmd_discretize(st: Settings) -> int:
     if mode == "quantile":
         fractions = _parse_number_list(_require(st.get(FRACTIONS), "fractions"), "fractions")
         grades = discretize_quantile(signals, fractions)
-    elif mode == "threshold":
+    else:
         cuts = _parse_number_list(_require(st.get(CUTS), "cuts"), "cuts")
         grades = discretize_threshold(signals, cuts)
-    else:
-        raise ConfigError(f"unknown discretize mode {mode!r}")
     _write_out(render_grades(grades, {"config": st.hash(), "mode": mode}), st.get(OUT_FILE))
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, WeightError
 from .ingest import check_distinct, runs_by_tag
 from .order import DistanceOrder, Metric, WeightAssignment, assign_weights, build_order
-from .schema import Aspect, AspectSchema, GroundTruth, LabelTuple, build_tuple_space
+from .schema import Aspect, AspectSchema, GroundTruth, LabelTuple, TupleSpace, build_tuple_space
 
 NDCG = "ndcg"
 AP = "ap"
@@ -159,11 +159,15 @@ def _score(run: RankedList, column: Mapping[str, float], cfg: MeasureConfig) -> 
     return average_precision(run, relevant, len(relevant), cfg.depth)
 
 
+def _unweighted(t: LabelTuple) -> ConfigError:
+    return ConfigError(f"judged tuple without a weight: 'tuple {t!r} is not in this order'")
+
+
 def _class_of(order: DistanceOrder, t: LabelTuple) -> int:
     try:
         return order.class_of(t)
-    except KeyError as exc:
-        raise ConfigError(f"judged tuple without a weight: {exc}") from None
+    except KeyError:
+        raise _unweighted(t) from None
 
 
 def _weight_column(
@@ -297,14 +301,18 @@ def mm_score(
     return _mm(p, aspect_scores(run, gt, schema, cfg), variant)
 
 
+ALL_TOPIC = "all"  # the topic of each run's mean row in a score table, never a judged one
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Scores for a full run set over a full topic set under one measure.
 
     ``values`` is a read-only float64 array, one row per entry of
     ``run_tags`` and one column per entry of ``topic_ids``, both sorted.
-    Construction checks that every score lies in [0, 1] up to rounding
-    slack and clamps it into that range.
+    Construction checks that shape and that each axis is sorted and
+    distinct, and that every score lies in [0, 1] up to rounding slack,
+    and clamps it into that range.
     """
 
     measure: str
@@ -314,6 +322,13 @@ class ScoreMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
+        shape = (len(self.run_tags), len(self.topic_ids))
+        if values.shape != shape:
+            raise ValueError(f"values of shape {values.shape}, not (runs, topics) = {shape}")
+        for what, axis in (("run tags", self.run_tags), ("topic ids", self.topic_ids)):
+            for a, b in itertools.pairwise(axis):
+                if a >= b:
+                    raise ValueError(f"{what} must be sorted and distinct: {a!r} before {b!r}")
         bad = np.argwhere(~((values >= -_SCORE_SLACK) & (values <= 1.0 + _SCORE_SLACK)))
         if len(bad):
             i, j = bad[0]
@@ -353,38 +368,18 @@ class ScoreMatrix:
 
 
 def _pool_index(
-    judged: Sequence[Mapping[str, LabelTuple]],
-    orders: Sequence[DistanceOrder],
-    grid_shape: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block of topics' judged docs, pooled topic by topic in ``judged``
-    order: their grades as (doc, aspect), their classes as (order, doc), and
-    where they sit in a (topic, row) layout padded with at least one row
-    past every topic's pool.  A tuple off the grid or off an order fails as
-    in ``_class_of``, naming the first such tuple of the first topic; with no
-    order to place it, a tuple off the grid fails here."""
+    judged: Sequence[Mapping[str, LabelTuple]], orders: Sequence[DistanceOrder], space: TupleSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The judged docs of all topics, pooled topic by topic in ``judged``
+    order: their grades as (doc, aspect) and their classes as (order, doc).
+    The first tuple outside ``space`` fails as in ``_class_of``."""
     pooled = list(itertools.chain.from_iterable(j.values() for j in judged))
-    try:
-        grades = np.array(pooled, dtype=np.int64)
-        cells = np.ravel_multi_index(grades.T, grid_shape)
-    except (ValueError, OverflowError):  # judged grades are ints
-        _check_placed(judged, orders)
-        raise ConfigError("judged tuple off the grade grid") from None
-    classes = np.array([order.grid.reshape(-1)[cells] for order in orders], dtype=np.intp)
-    if (classes < 0).any():
-        _check_placed(judged, orders)
-    sizes = np.array([len(j) for j in judged])
-    return grades, classes, np.arange(sizes.max() + 1) < sizes[:, None]
-
-
-def _check_placed(
-    judged: Sequence[Mapping[str, LabelTuple]], orders: Sequence[DistanceOrder]
-) -> None:
-    """Raise on the first judged tuple, topic by topic, that an order does
-    not place."""
-    for j, order in itertools.product(judged, orders):
-        for t in j.values():
-            _class_of(order, t)
+    # each distinct tuple once, in the order of its first judgment
+    for t in itertools.filterfalse(space.__contains__, dict.fromkeys(pooled)):
+        raise _unweighted(t)
+    grades = np.array(pooled, dtype=np.int64).reshape(len(pooled), space.mask.ndim)
+    classes = [order.grid[tuple(grades.T)] for order in orders]
+    return grades, np.array(classes, dtype=np.intp).reshape(len(orders), len(pooled))
 
 
 def _gain_tensor(
@@ -491,6 +486,8 @@ def score_runs(
     by_tag = runs_by_tag(runs)
     tags = tuple(sorted(by_tag))
     topics = gt.topics()
+    if ALL_TOPIC in topics:
+        raise ConfigError(f"topic id {ALL_TOPIC!r} is reserved for score means; the qrels judge it")
     if not topics:
         raise ConfigError("ground truth has no judged topics")
 
@@ -506,11 +503,13 @@ def score_runs(
     n = len(metrics)
     judged = [gt.judged(topic) for topic in topics]
     run_topics = [by_tag[t].topics for t in tags]
-    metric_orders = [orders[m] for m in metrics]
+    grades, classes = _pool_index(judged, [orders[m] for m in metrics], space)
+    sizes = np.array([len(j) for j in judged])
+    bounds = np.cumsum([0, *sizes])  # topic j's docs are bounds[j]:bounds[j + 1]
     # Topics per block, from the widest ranking and the largest pool
     longest = max([1, *(max(map(len, rt.values()), default=1) for rt in run_topics)])
     width = longest if depth is None else min(depth, longest)
-    pool = max(map(len, judged)) + 1
+    pool = int(sizes.max()) + 1
     block = max(1, _BLOCK_ELEMENTS // (max(len(tags) * width, pool) * (n + len(schema.aspects))))
     discount = np.array([_discount(i) for i in range(1, max(width, pool) + 1)])[:, None]
     # values[k, c, i, j]: kind kinds[k], column c (the metrics, then CAM and
@@ -520,9 +519,10 @@ def score_runs(
         part = slice(start, start + block)
         rankings = [[rt.get(topic, ())[:depth] for rt in run_topics] for topic in topics[part]]
         rows = _row_indices(judged[part], rankings)
-        grades, classes, placed = _pool_index(judged[part], metric_orders, schema.grid_shape)
+        docs = slice(bounds[start], bounds[min(start + block, len(topics))])
+        placed = np.arange(sizes[part].max() + 1) < sizes[part, None]
         for k, (cfg, class_gains, grade_gains) in enumerate(setups):
-            gains = _gain_tensor(placed, grades, classes, class_gains, grade_gains)
+            gains = _gain_tensor(placed, grades[docs], classes[:, docs], class_gains, grade_gains)
             scores = _scores(gains, rows, cfg, discount)  # topic x run x column
             cam, mm = _cam_mm(p, scores[..., n:], mm_variant)
             values[k, :n, :, part] = scores[..., :n].T

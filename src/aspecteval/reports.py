@@ -15,9 +15,8 @@ from . import __version__
 from .analysis import CorrelationReport, DPReport, QualityBandReport, ZeroAspectReport
 from .errors import ParseError
 from .ingest import _iter_lines
-from .measures import ScoreMatrix
+from .measures import _SCORE_SLACK, ALL_TOPIC, ScoreMatrix
 
-ALL_TOPIC = "all"
 # An ``all`` row and the topic scores it averages are each printed at 4
 # decimals, so the mean of the parsed scores may sit up to 0.5e-4 + 0.5e-4
 # from it; the 1e-9 absorbs the float error of that difference.
@@ -45,8 +44,9 @@ def render_scores(matrix: ScoreMatrix, meta: Mapping[str, object] | None = None)
 def parse_scores(text: str) -> ScoreMatrix:
     """Read a score TSV back into a matrix, ignoring comments.  Every row,
     the ``all`` summary rows included, carries the one measure label and a
-    numeric score; each (run, topic) pair comes once, and a run with an
-    ``all`` row has topic rows too.  An ``all`` row must be finite and
+    numeric score, a topic row's in [0, 1] up to ``ScoreMatrix``'s slack;
+    each (run, topic) pair comes once, and a run with an ``all`` row has
+    topic rows too.  An ``all`` row must be finite and
     within ``_MEAN_SLACK`` of its run's mean over the parsed topic scores;
     the ``all`` rows are then dropped."""
     cells: dict[tuple[str, str], float] = {}
@@ -64,11 +64,13 @@ def parse_scores(text: str) -> ScoreMatrix:
         elif label != measure:
             raise ParseError(f"mixed measure labels {measure!r} and {label!r}", lineno)
         try:
-            cells[(run, topic)] = float(score_s)
+            score = cells[(run, topic)] = float(score_s)
         except ValueError:
             raise ParseError(f"non-numeric score {score_s!r}", lineno) from None
         if topic == ALL_TOPIC:
             all_lines[run] = lineno
+        elif not -_SCORE_SLACK <= score <= 1.0 + _SCORE_SLACK:  # as ScoreMatrix checks
+            raise ParseError(f"score out of range for ({run}, {topic}): {score!r}", lineno)
     scores = {cell: score for cell, score in cells.items() if cell[1] != ALL_TOPIC}
     if not scores:
         raise ParseError("score table has no data rows")

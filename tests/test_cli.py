@@ -7,6 +7,7 @@ import codecs
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -277,12 +278,41 @@ def test_evaluate_flag_overrides_config_metric(env):
     assert "scores_CHEB-ndcg.tsv" not in names
 
 
-def test_evaluate_config_metric_all_ignores_case(env):
-    # Metric.parse lowercases a single metric name; "all" reads the same way
-    (env / "eval.ini").write_text("[order]\nmetric = All\n")
-    assert evaluate(env, "--config", str(env / "eval.ini"), "--measure", "ndcg") == 0
-    names = {p.name for p in (env / "out").iterdir()}
-    assert {"scores_EUCL-ndcg.tsv", "scores_MANH-ndcg.tsv", "scores_CHEB-ndcg.tsv"} <= names
+@pytest.mark.parametrize(
+    "command,ini,message",
+    [
+        ("evaluate", "[order]\nweights = BINARY\n",
+         "unknown nDCG weights 'BINARY' in config key 'order.weights'; did you mean 'binary'?"),
+        ("evaluate", "[order]\nmetric = All\n",
+         "unknown distance metric or all 'All' in config key 'order.metric'; did you mean 'all'?"),
+        ("evaluate", "[measure]\nkind = NDCG\n",
+         "unknown measure kind 'NDCG' in config key 'measure.kind'; did you mean 'ndcg'?"),
+        ("evaluate", "[mm]\nvariant = tabel\n",
+         "unknown harmonic-mean variant 'tabel' in config key 'mm.variant'; did you mean 'table'?"),
+        ("order", "[order]\nmetric = Euclidean\n",
+         "unknown distance metric 'Euclidean' in config key 'order.metric'; did you mean 'euclidean'?"),
+        ("discretize", "[discretize]\nmode = Quantile\nfractions = 0.5 0.5\n",
+         "unknown grading mode 'Quantile' in config key 'discretize.mode'; did you mean 'quantile'?"),
+    ],
+    ids=["weights", "metric-all", "kind", "mm-variant", "order-metric", "mode"],
+)
+def test_config_values_must_be_among_the_choices_as_flag_values_are(
+    env, capsys, command, ini, message
+):
+    # a value matches a choice exactly, case and all: otherwise one setting
+    # would write the same rows under two config hashes
+    (env / "eval.ini").write_text(ini)
+    (env / "signals.txt").write_text("d1 1\nd2 2\n")
+    inputs = {
+        "evaluate": ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
+                     "--runs", str(env / "runs")],
+        "order": ["--schema", str(env / "schema.txt")],
+        "discretize": ["--signals", str(env / "signals.txt")],
+    }[command]
+    out = env / "out"
+    assert main([command, "--config", str(env / "eval.ini"), *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_evaluate_config_can_supply_all_paths(env):
@@ -1210,6 +1240,18 @@ def test_parse_scores_checks_the_all_rows_like_every_row():
     # a run whose one row is its mean has no topic scores; it is not dropped
     with pytest.raises(ParseError, match=r"^run 'c' has only an 'all' row$"):
         parse_scores(rows + "c\tall\tX\t0.9\n")
+
+
+@pytest.mark.parametrize("score", ["nan", "1.5", "-0.0001"])
+def test_parse_scores_names_the_line_of_a_topic_score_out_of_range(score):
+    from aspecteval import ParseError
+
+    text = f"a\t1\tX\t0.5\na\t2\tX\t{score}\nb\t1\tX\t0.5\nb\t2\tX\t0.5\n"
+    with pytest.raises(ParseError, match=rf"^line 2: score out of range for \(a, 2\): {re.escape(score)}$"):
+        parse_scores(text)
+    # within ScoreMatrix's slack a score still parses, clamped into [0, 1]
+    for edge, clamped in (("1.0000000005", 1.0), ("-0.0000000005", 0.0)):
+        assert parse_scores(text.replace(score, edge)).score("a", "2") == clamped
 
 
 @pytest.mark.parametrize("score", ["0.9", "nan", "7", "inf", "0.2002"])

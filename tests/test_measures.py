@@ -404,6 +404,23 @@ def test_score_matrix_build_and_means():
     assert math.copysign(1.0, ScoreMatrix.build("X", {("a", "1"): -0.0}).score("a", "1")) == 1.0
 
 
+@pytest.mark.parametrize(
+    "run_tags,topic_ids,values,message",
+    [
+        (("a",), ("1", "2"), [[0.0] * 5] * 3, r"values of shape \(3, 5\), not \(runs, topics\) = \(1, 2\)"),
+        (("b", "a"), ("1",), [[0.5], [0.5]], "run tags must be sorted and distinct: 'b' before 'a'"),
+        (("a", "a"), ("1",), [[0.5], [0.5]], "run tags must be sorted and distinct: 'a' before 'a'"),
+        (("a",), ("2", "1"), [[0.5, 0.5]], "topic ids must be sorted and distinct: '2' before '1'"),
+    ],
+    ids=["shape", "unsorted-runs", "repeated-run", "unsorted-topics"],
+)
+def test_score_matrix_checks_the_axes_it_documents(run_tags, topic_ids, values, message):
+    # the means, select_best_runs' ties and the rendered tables all read
+    # one row per sorted run and one column per sorted topic
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScoreMatrix("X", run_tags, topic_ids, values)
+
+
 def test_score_matrix_mean_sums_left_to_right():
     rng = random.Random(5)
     cells = {(r, f"t{j:03d}"): rng.random() for r in "abcd" for j in range(200)}
@@ -507,9 +524,34 @@ def test_score_runs_rejects_a_judged_tuple_off_the_order_as_the_scalar_scorer_do
     with pytest.raises(ConfigError) as batch:
         score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",))
     assert str(batch.value) == str(scalar.value)
-    if bad != (0, 1):  # off the grid: CAM and MM alone must not wrap a grade either
-        with pytest.raises(ConfigError, match="off the grade grid"):
-            score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",), metrics=())
+    # CAM and MM alone place judged tuples in the same tuple space
+    with pytest.raises(ConfigError) as alone:
+        score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",), metrics=())
+    assert str(alone.value) == str(scalar.value)
+
+
+def test_score_runs_names_the_first_infeasible_tuple_past_the_first_block(schema):
+    # One judged doc per topic and one run: a block holds 819 topics with
+    # the three metrics and 2,048 without, so topic 6000 is in neither's first.
+    topics = [f"t{i:04d}" for i in range(_BLOCK_ELEMENTS)]
+    entries = {(t, "d1"): (3, 1) for t in topics}
+    entries[(topics[6000], "d1")] = (0, 1)  # on the grid, but breaks the coupling rule
+    entries[(topics[7000], "d1")] = (4, 0)  # off the grid, judged later
+    gt = GroundTruth(entries)
+    weights = assign_weights(build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN), "distinct")
+    with pytest.raises(ConfigError, match="without a weight") as scalar:
+        order_score(ranking(["d1"], topics[6000]), gt, weights, MeasureConfig("ndcg"))
+    for metrics in (tuple(Metric), ()):
+        with pytest.raises(ConfigError) as batch:
+            score_runs([run_of("s", {topics[0]: ["d1"]})], gt, schema, metrics=metrics)
+        assert str(batch.value) == str(scalar.value)
+
+
+def test_score_runs_rejects_a_judged_topic_named_all(schema):
+    # score tables give each run's mean in a row for topic 'all'
+    gt = GroundTruth({("1", "d1"): (3, 1), ("all", "d1"): (3, 1)})
+    with pytest.raises(ConfigError, match="^topic id 'all' is reserved for score means"):
+        score_runs([run_of("s", {"1": ["d1"]})], gt, schema)
 
 
 def test_score_runs_without_runs_has_empty_rows(schema, gt):
