@@ -2,12 +2,17 @@
 discretizers that turn continuous signals into graded aspect columns.
 
 The rules every run set keeps live here, beside ``RunFile``: each doc once
-per topic (``check_distinct``) and each run tag once (``runs_by_tag``)."""
+per topic (``check_distinct``) and each run tag once (``runs_by_tag``).
+
+The parsers intern every doc id they read (``sys.intern``), so the runs and
+qrels a process loads share one string per id: many runs retrieve from one
+pool, and a copy per run would hold each id as often as it is retrieved."""
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -139,7 +144,7 @@ def parse_run(text: str, honor_rank: bool = False) -> RunFile:
     if set(map(len, map(str.split, lines))) != {6}:
         raise _first_run_error(text)
     tokens = " ".join(lines).split()
-    topics, docs, tags = tokens[0::6], tokens[2::6], tokens[5::6]
+    topics, docs, tags = tokens[0::6], list(map(sys.intern, tokens[2::6])), tokens[5::6]
     try:
         ranks = list(map(int, tokens[3::6]))
         scores = list(map(float, tokens[4::6]))
@@ -209,14 +214,15 @@ def parse_qrels(
     first; missing trailing columns are filled with the worst label; tuples
     that still violate a coupling rule are forced to the rule's label.
     """
-    first = (text.lstrip().splitlines() or [""])[0]  # the first non-blank line
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    at, first = next(((n, line) for n, line in lines if line), (1, ""))  # first non-blank
     body = first.lstrip("#").strip()
     if not first.startswith("#") or not body.startswith("aspects:"):
-        raise ParseError("missing '# aspects:' header", 1)
+        raise ParseError("missing '# aspects:' header", at)
     header = body[len("aspects:") :].split()
     if tuple(header) != schema.names:
         raise ParseError(
-            f"header aspects {header} do not match schema {list(schema.names)}", 1
+            f"header aspects {header} do not match schema {list(schema.names)}", at
         )
 
     rows: dict[tuple[str, str], list[int]] = {}
@@ -225,8 +231,7 @@ def parse_qrels(
         parts = line.split()
         if len(parts) < 4:
             raise ParseError(f"expected at least 4 fields, got {len(parts)}", lineno)
-        topic, _iteration, doc = parts[0], parts[1], parts[2]
-        grades = parts[3:]
+        topic, doc, grades = parts[0], sys.intern(parts[2]), parts[3:]
         if len(grades) > schema.n_aspects:
             raise AspectCountMismatch(
                 f"{len(grades)} grade columns for {schema.n_aspects} aspects", lineno
@@ -268,7 +273,7 @@ def join_aspect_qrels(
                 raise ParseError(
                     f"expected 4 fields in {name!r} qrels, got {len(parts)}", lineno
                 )
-            topic, _iteration, doc, token = parts
+            topic, doc, token = parts[0], sys.intern(parts[2]), parts[3]
             if (topic, doc) in seen:
                 raise DuplicateDoc(
                     f"doc {doc!r} judged twice for topic {topic!r} in {name!r}", lineno

@@ -419,6 +419,35 @@ def test_evaluate_honor_rank_changes_tie_handling(env):
     assert rows() != by_rank
 
 
+def test_evaluate_ignores_the_line_order_of_run_files(env, tmp_path_factory):
+    # Ties between docs of different grades: the parse orders them by doc id
+    # ascending; trec_eval-style files list them doc-id-descending.
+    runs = {
+        "runA": {"1": {"d3": 3, "d1": 2, "d2": 2, "dz": 1, "dx": 1, "dy": 0},
+                 "2": {"d2": 2, "d3": 1, "d1": 1}},
+        "runB": {"1": {"d2": 2, "d3": 2, "d1": 1, "dx": 0},
+                 "2": {"d1": 1, "d3": 1, "d2": 1}},
+    }
+    copy = tmp_path_factory.mktemp("shuffled") / "inputs"
+    shutil.copytree(env, copy)
+    rng = random.Random(25)
+    for tag, topics in runs.items():
+        ties = {}  # (topic, score) -> lines, doc id ascending
+        for topic, scores in topics.items():
+            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            for rank, (doc, score) in enumerate(ranked, 1):
+                line = f"{topic} Q0 {doc} {rank} {float(score)} {tag}"
+                ties.setdefault((topic, score), []).append(line)
+        groups = list(ties.values())
+        (env / "runs" / f"{tag}.run").write_text("\n".join(line for group in groups for line in group) + "\n")
+        rng.shuffle(groups)
+        shuffled = [line for group in groups for line in reversed(group)]
+        (copy / "runs" / f"{tag}.run").write_text("\n".join(shuffled) + "\n")
+    assert evaluate(env) == 0
+    assert evaluate(copy) == 0
+    assert output_files(env / "out") == output_files(copy / "out")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

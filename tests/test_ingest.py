@@ -3,6 +3,7 @@ tables, and the two discretizers."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -336,12 +337,23 @@ def test_parse_qrels_names_indices_and_worst_fill(schema):
     assert gt.topics() == ("1", "2")
 
 
-def test_parse_qrels_requires_matching_header(schema):
-    with pytest.raises(ParseError, match="aspects:"):
-        parse_qrels("1 0 d1 mr c\n", schema)
-    flipped = "# aspects: correctness relevance\n1 0 d1 c mr\n"
-    with pytest.raises(ParseError, match="do not match schema"):
-        parse_qrels(flipped, schema)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 0 d1 mr c\n", "line 1: missing '# aspects:' header"),
+        ("# aspects: correctness relevance\n1 0 d1 c mr\n",
+         "line 1: header aspects ['correctness', 'relevance'] do not match schema"),
+        # the header is the first non-blank line, and errors name that line
+        ("\n  \n# aspects: correctness relevance\n1 0 d1 c mr\n",
+         "line 3: header aspects ['correctness', 'relevance'] do not match schema"),
+        ("\n\t\n1 0 d1 mr c\n", "line 3: missing '# aspects:' header"),
+        ("\n\n\n# a comment\n# aspects: relevance correctness\n",
+         "line 4: missing '# aspects:' header"),
+    ],
+)
+def test_parse_qrels_requires_matching_header(schema, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse_qrels(text, schema)
 
 
 def test_parse_qrels_applies_coupling_corrections(schema):
@@ -419,6 +431,17 @@ def test_join_aspect_qrels_outer_join(schema):
     assert gt.get("1", "d3") == (0, 0)
     assert gt.get("2", "d9") == (2, 0)
     assert len(gt) == 4
+
+
+def test_doc_ids_are_one_string_across_runs_and_qrels(schema):
+    runs = [parse_run(f"1 Q0 doc-7 1 2.0 {tag}\n1 Q0 doc-8 2 1.0 {tag}\n") for tag in "AB"]
+    qrels, _ = parse_qrels("# aspects: relevance correctness\n1 0 doc-7 hr c\n", schema)
+    joined, _ = join_aspect_qrels({"relevance": "1 0 doc-7 hr\n"}, schema)
+    ids = [run.topics["1"][0] for run in runs] + [
+        doc for gt in (qrels, joined) for (_, doc) in gt.entries
+    ]
+    assert ids == ["doc-7"] * 4
+    assert all(doc is ids[0] for doc in ids)
 
 
 def test_join_aspect_qrels_validates(schema):

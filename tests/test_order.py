@@ -326,10 +326,14 @@ def test_grids_of_another_shape_are_rejected(schema):
 def test_class_indices_outside_the_keys_are_rejected(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
     t = schema.best_tuple
-    for bad in (order.n_classes, -2):
-        with pytest.raises(ValueError, match="class indices"):
+    int64 = np.iinfo(np.int64)
+    message = rf"^class indices must lie in \[-1, {order.n_classes}\), the keys' range$"
+    for bad in (order.n_classes, -2, int64.max, int64.min):
+        with pytest.raises(ValueError, match=message):
             with_tuple_moved(order, t, bad)
     assert with_tuple_moved(order, t, order.n_classes - 1).class_of(t) == order.n_classes - 1
+    with pytest.raises(KeyError):
+        with_tuple_moved(order, t, -1).class_of(t)
 
 
 def oracle_schemas():
