@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import sys
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .analysis import (
     _check_same_cells,
@@ -27,7 +28,7 @@ from .analysis import (
     select_best_runs,
     zero_aspect_at_k,
 )
-from .errors import ConfigError, EvalError
+from .errors import ConfigError, EvalError, ParseError
 from .ingest import (
     RunFile,
     _iter_lines,
@@ -41,11 +42,11 @@ from .ingest import (
 from .measures import AP, CANONICAL, NDCG, TABLE, score_runs
 from .order import Metric, build_order, format_order_dump
 from .reports import (
+    _tsv,
     parse_scores,
     render_correlation,
     render_dp,
     render_grades,
-    render_order_dump,
     render_quality_bands,
     render_scores,
     render_zero_aspect,
@@ -130,8 +131,11 @@ class Settings:
         self.parser.optionxform = str  # aspect and label names keep their case
         self.used: dict[str, str] = {}
         if args.config:
-            self.parser.read_string(_read(args.config, "config file"), source=args.config)
-            self._check_keys()
+            _load(args.config, self._read_config, "config file")
+
+    def _read_config(self, text: str) -> None:
+        self.parser.read_string(text, source=self.args.config)
+        self._check_keys()
 
     def _check_keys(self) -> None:
         """Reject every section and key that no option declares."""
@@ -159,7 +163,7 @@ class Settings:
         keys of ``[gains.<aspect>]``, the ``labels`` of ``[relevant.<aspect>]``
         and the values of ``[merge.<aspect>]``).  A ``[relevant.<aspect>]``
         section must name at least one label."""
-        schema = parse_schema(_read(path))
+        schema = _load(path, parse_schema)
         labels = {a.name: a.labels for a in schema.aspects}
         for section in self.parser.sections():
             prefix, _, aspect = section.partition(".")
@@ -228,6 +232,25 @@ def _read(path: str | Path, what: str = "input file") -> str:
         raise ConfigError(f"{what} {path} is not UTF-8 ({where})") from None
 
 
+T = TypeVar("T")
+
+
+def _in_file(exc: EvalError, path: str | Path) -> EvalError:
+    """``exc`` with ``path`` put before its message."""
+    exc.args = (f"{path}: {exc}",)
+    return exc
+
+
+def _load(path: str | Path, parse: Callable[[str], T], what: str = "input file") -> T:
+    """``parse`` of the text of the file at ``path`` (see ``_read``); an
+    ``EvalError`` it raises names the file first (``runs/b.run: line 30: …``)."""
+    text = _read(path, what)
+    try:
+        return parse(text)
+    except EvalError as exc:
+        raise _in_file(exc, path) from None
+
+
 def _write(out_dir: str | Path, texts: Mapping[str, str]) -> None:
     """Write each named text into ``out_dir`` as UTF-8 with LF line ends."""
     out = Path(out_dir)
@@ -277,21 +300,25 @@ def _load_ground_truth(st: Settings, qrels: list[str], schema) -> GroundTruth:
     """The qrels, with a warning on stderr if coupling rules corrected any."""
     merge = _aspect_sections(st, schema, "merge") or None
     if any("=" in q for q in qrels):
-        per_aspect = {}
+        paths = {}
         for q in qrels:
             aspect, sep, path = q.partition("=")
             if not sep:
                 raise ConfigError(
                     "mixing plain and aspect=path qrels arguments is not supported"
                 )
-            if aspect in per_aspect:
+            if aspect in paths:
                 raise ConfigError(f"aspect {aspect!r} is given more than one qrels file")
-            per_aspect[aspect] = _read(path)
-        gt, corrections = join_aspect_qrels(per_aspect, schema, merge)
+            paths[aspect] = path
+        texts = {aspect: _read(path) for aspect, path in paths.items()}
+        try:
+            gt, corrections = join_aspect_qrels(texts, schema, merge)
+        except ParseError as exc:  # a line of one aspect's file
+            raise _in_file(exc, paths[exc.aspect]) from None
     elif len(qrels) != 1:
         raise ConfigError("expected one multi-aspect qrels file or aspect=path pairs")
     else:
-        gt, corrections = parse_qrels(_read(qrels[0]), schema, merge)
+        gt, corrections = _load(qrels[0], lambda text: parse_qrels(text, schema, merge))
     if corrections:
         print(
             f"warning: corrected {corrections} coupling-rule violations in the qrels",
@@ -314,27 +341,35 @@ def _load_runs(paths: list[str], honor_rank: bool) -> list[RunFile]:
             files.append(p)
         else:
             raise ConfigError(f"run path not found: {raw}")
-    runs = []
+    runs, file_of = [], {}
     for f in files:
-        text = _read(f)
-        if any(_iter_lines(text)):  # a content line, as parse_run counts them
-            runs.append(parse_run(text, honor_rank=honor_rank))
-        else:
+        # None for a file without a content line, as parse_run counts them
+        run = _load(f, lambda text: parse_run(text, honor_rank) if any(_iter_lines(text)) else None)
+        if run is None:
             print(
                 f"warning: run file {f} is empty; scoring run {f.stem!r} as 0",
                 file=sys.stderr,
             )
-            runs.append(RunFile(f.stem, {}, {}))
+            run = RunFile(f.stem, {}, {})
+        if run.run_tag in file_of:
+            raise ConfigError(f"duplicate run tag {run.run_tag!r} in {file_of[run.run_tag]} and {f}")
+        file_of[run.run_tag] = f
+        runs.append(run)
     if not runs:
         raise ConfigError("no run files given")
     return runs
 
 
-def _write_out(text: str, out: str | None):
+def _write_out(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` in turn to stdout, or to the file ``out`` as UTF-8
+    with LF line ends."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        _write(Path(out).parent, {Path(out).name: text})
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
 
 
 def cmd_order(st: Settings) -> int:
@@ -343,7 +378,8 @@ def cmd_order(st: Settings) -> int:
     metric = Metric.parse(st.get(ORDER_METRIC))
     order = build_order(build_tuple_space(schema), schema, metric)
     meta = {"config": st.hash(), "metric": metric.value, "classes": order.n_classes}
-    _write_out(render_order_dump(format_order_dump(order), meta), st.get(OUT_FILE))
+    # the dump streams: no string of the whole of it is ever made
+    _write_out(itertools.chain((_tsv(meta, ()),), format_order_dump(order)), st.get(OUT_FILE))
     return 0
 
 
@@ -383,7 +419,7 @@ def cmd_evaluate(st: Settings) -> int:
 
 def cmd_analyze(st: Settings) -> int:
     """meta-evaluation reports over score tables"""
-    matrices = [parse_scores(_read(p)) for p in _require(st.get(SCORES), "scores path")]
+    matrices = [_load(p, parse_scores) for p in _require(st.get(SCORES), "scores path")]
     labels = [m.measure for m in matrices]
     if len(set(labels)) != len(labels):
         raise ConfigError("score tables must carry distinct measure labels")
@@ -440,7 +476,7 @@ def cmd_analyze(st: Settings) -> int:
 
 def cmd_discretize(st: Settings) -> int:
     """grade a raw signal table"""
-    signals = parse_signals(_read(_require(st.get(SIGNALS), "signals path")))
+    signals = _load(_require(st.get(SIGNALS), "signals path"), parse_signals)
     mode = st.get(MODE)
     if mode == "quantile":
         fractions = _parse_number_list(_require(st.get(FRACTIONS), "fractions"), "fractions")
@@ -448,7 +484,7 @@ def cmd_discretize(st: Settings) -> int:
     else:
         cuts = _parse_number_list(_require(st.get(CUTS), "cuts"), "cuts")
         grades = discretize_threshold(signals, cuts)
-    _write_out(render_grades(grades, {"config": st.hash(), "mode": mode}), st.get(OUT_FILE))
+    _write_out((render_grades(grades, {"config": st.hash(), "mode": mode}),), st.get(OUT_FILE))
     return 0
 
 

@@ -36,8 +36,11 @@ class WeightError(EvalError):
 class ParseError(EvalError):
     """An input file could not be parsed.
 
-    Carries the one-based line number when known.
+    Carries the one-based line number when known, and, when the text was
+    one aspect's qrels given to ``join_aspect_qrels``, that aspect.
     """
+
+    aspect: str | None = None
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

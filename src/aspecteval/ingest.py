@@ -258,7 +258,8 @@ def join_aspect_qrels(
 
     The join is outer: a (topic, doc) pair judged in any file appears in the
     result, with unjudged aspects filled with the worst label.  Returns the
-    ground truth and the coupling-correction count.
+    ground truth and the coupling-correction count.  A ``ParseError`` from
+    one aspect's text carries that aspect's name as ``aspect``.
     """
     for name in per_aspect:
         schema.aspect_index(name)
@@ -267,21 +268,25 @@ def join_aspect_qrels(
         idx = schema.aspect_index(name)
         seen: set[tuple[str, str]] = set()
         grade_of: dict[str, int] = {}  # token -> grade, resolved once
-        for lineno, line in _iter_lines(text):
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(
-                    f"expected 4 fields in {name!r} qrels, got {len(parts)}", lineno
-                )
-            topic, doc, token = parts[0], sys.intern(parts[2]), parts[3]
-            if (topic, doc) in seen:
-                raise DuplicateDoc(
-                    f"doc {doc!r} judged twice for topic {topic!r} in {name!r}", lineno
-                )
-            seen.add((topic, doc))
-            if token not in grade_of:
-                grade_of[token] = _resolve_grade(token, idx, schema, merge, lineno)
-            partial.setdefault((topic, doc), [0] * schema.n_aspects)[idx] = grade_of[token]
+        try:
+            for lineno, line in _iter_lines(text):
+                parts = line.split()
+                if len(parts) != 4:
+                    raise ParseError(
+                        f"expected 4 fields in {name!r} qrels, got {len(parts)}", lineno
+                    )
+                topic, doc, token = parts[0], sys.intern(parts[2]), parts[3]
+                if (topic, doc) in seen:
+                    raise DuplicateDoc(
+                        f"doc {doc!r} judged twice for topic {topic!r} in {name!r}", lineno
+                    )
+                seen.add((topic, doc))
+                if token not in grade_of:
+                    grade_of[token] = _resolve_grade(token, idx, schema, merge, lineno)
+                partial.setdefault((topic, doc), [0] * schema.n_aspects)[idx] = grade_of[token]
+        except ParseError as exc:
+            exc.aspect = name
+            raise
     return _settle(dict(sorted(partial.items())), schema)
 
 

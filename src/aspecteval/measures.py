@@ -367,19 +367,20 @@ class ScoreMatrix:
         return left_sum(row) / len(row)
 
 
-def _pool_index(
-    judged: Sequence[Mapping[str, LabelTuple]], orders: Sequence[DistanceOrder], space: TupleSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The judged docs of all topics, pooled topic by topic in ``judged``
-    order: their grades as (doc, aspect) and their classes as (order, doc).
-    The first tuple outside ``space`` fails as in ``_class_of``."""
-    pooled = list(itertools.chain.from_iterable(j.values() for j in judged))
-    # each distinct tuple once, in the order of its first judgment
-    for t in itertools.filterfalse(space.__contains__, dict.fromkeys(pooled)):
-        raise _unweighted(t)
-    grades = np.array(pooled, dtype=np.int64).reshape(len(pooled), space.mask.ndim)
-    classes = [order.grid[tuple(grades.T)] for order in orders]
-    return grades, np.array(classes, dtype=np.intp).reshape(len(orders), len(pooled))
+def _order_columns(
+    space: TupleSpace,
+    schema: AspectSchema,
+    metric: Metric,
+    policies: Sequence[str | Sequence[int]],
+    grades: np.ndarray | None,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Build ``metric``'s order and keep only what scoring reads of it: the
+    per-class weights of each policy, and the classes of the docs whose
+    ``grades`` are given (None without them).  The order, a grid over the
+    whole grade grid, is dropped on return."""
+    order = build_order(space, schema, metric)
+    weights = [np.array(assign_weights(order, p).per_class, dtype=np.float64) for p in policies]
+    return weights, None if grades is None else order.grid[tuple(grades.T)]
 
 
 def _gain_tensor(
@@ -389,7 +390,7 @@ def _gain_tensor(
     class_gains: Sequence[np.ndarray],
     grade_gains: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Gains of the docs ``_pool_index`` pooled, as (topic, row, column) with
+    """Gains of the docs ``score_runs`` pools, as (topic, row, column) with
     zero rows as padding: a column per order (the weight of the doc's class
     in ``class_gains``), then a column per aspect (the gain of its grade in
     ``grade_gains``)."""
@@ -477,7 +478,8 @@ def score_runs(
     skip a topic score 0 there.
     """
     # The measure options are checked before the first order is built; the
-    # weight policy is checked against each order's class count.
+    # weight policy is checked against each order's class count, and the
+    # judged tuples against the tuple space after every order.
     cfgs = [MeasureConfig(kind, depth, aspect_gains, aspect_relevant) for kind in kinds]
     tables = [[_aspect_table(a, cfg) for a in schema.aspects] for cfg in cfgs]
     if mm_variant not in (CANONICAL, TABLE):
@@ -492,18 +494,28 @@ def score_runs(
         raise ConfigError("ground truth has no judged topics")
 
     space = build_tuple_space(schema)
-    orders = {m: build_order(space, schema, m) for m in metrics}
-    setups = []
-    for cfg, cfg_tables in zip(cfgs, tables):
-        policy = weight_policy if cfg.kind == NDCG else "binary"
-        class_gains = [
-            np.array(assign_weights(orders[m], policy).per_class, dtype=np.float64) for m in metrics
-        ]
-        setups.append((cfg, class_gains, [np.array(t) for t in cfg_tables]))
-    n = len(metrics)
     judged = [gt.judged(topic) for topic in topics]
+    # the judged docs of all topics, pooled topic by topic; each distinct
+    # tuple is checked once, in the order of its first judgment
+    pooled = list(itertools.chain.from_iterable(j.values() for j in judged))
+    offender = next(itertools.filterfalse(space.__contains__, dict.fromkeys(pooled)), None)
+    grades = None
+    if offender is None:
+        grades = np.array(pooled, dtype=np.int64).reshape(len(pooled), schema.n_aspects)
+    # One order at a time, each dropped before the next is built: a wide
+    # schema's grids are the largest arrays scoring makes.  The calls come
+    # metric by metric, each order's weight policies in kind order.
+    policies = [weight_policy if cfg.kind == NDCG else "binary" for cfg in cfgs]
+    per_order = [_order_columns(space, schema, m, policies, grades) for m in metrics]
+    if offender is not None:  # after the orders and weights, whose errors come first
+        raise _unweighted(offender)
+    classes = np.array([c for _, c in per_order], dtype=np.intp).reshape(len(metrics), len(grades))
+    setups = [
+        (cfg, [weights[k] for weights, _ in per_order], [np.array(t) for t in cfg_tables])
+        for k, (cfg, cfg_tables) in enumerate(zip(cfgs, tables))
+    ]
+    n = len(metrics)
     run_topics = [by_tag[t].topics for t in tags]
-    grades, classes = _pool_index(judged, [orders[m] for m in metrics], space)
     sizes = np.array([len(j) for j in judged])
     bounds = np.cumsum([0, *sizes])  # topic j's docs are bounds[j]:bounds[j + 1]
     # Topics per block, from the widest ranking and the largest pool

@@ -13,21 +13,28 @@ grid.  The check that it extends Pareto dominance takes a suffix maximum of
 that grid on reversed views, so it is linear in the grid size; the test
 suite keeps the dense pairwise check as its oracle.  Members and dumps list
 the grid's cells once, sorted by class in the smallest integer type that
-holds the class count; a dump joins each class's slice of one flat list of
-label prefixes (over all aspects but the last), last labels and separators.
+holds the class count.  A dump streams: each piece of at most a fixed number
+of members joins one flat list of separators (class headers and line ends
+at class boundaries), label prefixes (over all aspects but the last) and
+last labels.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MissingBestTuple, PolicyViolation
 from .schema import AspectSchema, LabelTuple, TupleSpace, on_grid
+
+# Members per piece of an order dump: each piece's working lists and its
+# text grow with this, not with the order.
+_DUMP_MEMBERS = 8192
 
 
 class Metric(Enum):
@@ -69,9 +76,11 @@ class DistanceOrder:
     grid: np.ndarray
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=np.int64)
+        grid = np.array(self.grid, dtype=np.int64)  # a copy the caller cannot change
         self.schema.check_grid(grid.shape)
-        if grid.min() < -1 or grid.max() >= self.n_classes:
+        # one reduction checks the range: shifted by 1 and read as unsigned,
+        # -1 is 0 and any index below it wraps past every class count
+        if (grid + 1).view(np.uint64).max() > self.n_classes:
             raise ValueError(f"class indices must lie in [-1, {self.n_classes}), the keys' range")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -88,15 +97,16 @@ class DistanceOrder:
         members = list(zip(*np.array(np.unravel_index(cells, self.grid.shape)).tolist()))
         return tuple(DistanceClass(key, tuple(members[a:b])) for key, a, b in spans)
 
-    def _cells(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    def _cells(self) -> tuple[np.ndarray, Iterator[tuple[int, int, int]]]:
         """Flat grid indices of the members, class by class, each class in
-        descending lexicographic order; and (key, start, end) per class."""
+        descending lexicographic order; and an iterator of (key, start, end)
+        per class, so no tuple per class is kept."""
         cells = np.flatnonzero(self.grid >= 0)[::-1]
         cls = self.grid.ravel()[cells]
         ends = np.cumsum(np.bincount(cls, minlength=self.n_classes)).tolist()
         # numpy radix-sorts 8- and 16-bit keys when the sort is stable
         by_class = np.argsort(cls.astype(np.min_scalar_type(self.n_classes)), kind="stable")
-        return cells[by_class], list(zip(self.keys, [0, *ends], ends))
+        return cells[by_class], zip(self.keys, itertools.chain((0,), ends), ends)
 
     def class_of(self, t: LabelTuple) -> int:
         """Index of the class containing ``t`` (0 = closest to best)."""
@@ -126,11 +136,15 @@ def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> Dist
         for axis, vals in enumerate(schema.scaled_values)
     ]
     keys = functools.reduce(np.maximum if metric is Metric.CHEBYSHEV else np.add, steps)
+    # each temporary is dropped once used: on a wide schema they set the
+    # peak memory of building an order
     flat = keys[space.mask].tolist()
+    del keys
     distinct = sorted(set(flat))
     rank = dict(zip(distinct, range(len(distinct))))
     grid = np.full(space.mask.shape, -1, dtype=np.int64)
     grid[space.mask] = np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat))
+    del flat, rank
     return DistanceOrder(metric, schema, tuple(distinct), grid)
 
 
@@ -216,34 +230,51 @@ def assign_weights(order: DistanceOrder, policy: str | Sequence[int]) -> WeightA
     return WeightAssignment(order, tuple(_class_weights(policy, order.n_classes)))
 
 
-def format_order_dump(order: DistanceOrder) -> str:
+def _boundaries(spans: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, str]]:
+    """(member index, text) per class boundary, in order: the text a dump
+    puts before that member, or after the last member at the member count.
+    Each class writes its header at its first member and its line end after
+    its last one, so the text of an empty class joins its neighbours'."""
+    at, text = 0, ""
+    for i, (key, _, end) in enumerate(spans):  # contiguous spans from 0
+        text += f"class {i} dist {key} : "
+        if end != at:
+            yield at, text
+            at, text = end, ""
+        text += "\n"
+    yield at, text
+
+
+def format_order_dump(order: DistanceOrder) -> Iterator[str]:
     """Render an order as one text line per class::
 
         class 0 dist 0 : hr,c
         class 1 dist 1 : fr,c;hr,pc
 
+    and yield it in pieces of at most ``_DUMP_MEMBERS`` members each, so no
+    string of the whole dump is made; a larger class spans several pieces.
     A member's label is its prefix, the labels of all aspects but the last
-    (read from one table over that smaller grid), then its last label.  One
-    flat list holds prefix, last label and separator per member, and each
-    line joins its slice of it, without a string per member.
+    (read from one table over that smaller grid), then its last label.  A
+    piece joins one flat list of separator, prefix and last label per
+    member, where the separator before a class's first member holds its
+    header and the line end of the class before.
     """
+    cells, spans = order._cells()  # first: its temporaries are gone before the table is made
     *head, last = order.schema.aspects
     prefixes = [""]
     for aspect in head:
         prefixes = [p + label + "," for p in prefixes for label in aspect.labels]
-    cells, spans = order._cells()
-    prefix, grade = np.divmod(cells, last.n_grades)
-    del cells
-    # each temporary is dropped once stored: they set the dump's peak memory
-    flat = [";"] * (3 * len(prefix))
-    flat[0::3] = np.array(prefixes, dtype=object)[prefix].tolist()
-    del prefix
-    flat[1::3] = np.array(last.labels, dtype=object)[grade].tolist()
-    del grade
-    lines = [
-        f"class {i} dist {k} : " + "".join(flat[3 * a : 3 * b - 1])
-        for i, (k, a, b) in enumerate(spans)
-    ]
-    del flat
-    lines.append("")  # the final newline, without a copy of the whole dump
-    return "\n".join(lines)
+    prefixes = np.array(prefixes, dtype=object)
+    labels = np.array(last.labels, dtype=object)
+    boundaries = _boundaries(spans)
+    at, text = next(boundaries)
+    for start in range(0, len(cells), _DUMP_MEMBERS):
+        prefix, grade = np.divmod(cells[start : start + _DUMP_MEMBERS], last.n_grades)
+        flat = [";"] * (3 * len(prefix))
+        flat[1::3] = prefixes[prefix].tolist()
+        flat[2::3] = labels[grade].tolist()
+        while at < start + len(prefix):
+            flat[3 * (at - start)] = text
+            at, text = next(boundaries)
+        yield "".join(flat)
+    yield text  # the last line end, and the headers of any empty classes there

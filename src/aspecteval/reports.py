@@ -137,7 +137,3 @@ def render_quality_bands(
 def render_grades(grades: Mapping[str, int], meta: Mapping[str, object] | None = None) -> str:
     """One ``docid grade`` row per document, sorted by doc id."""
     return _tsv(meta, (f"{doc}\t{grades[doc]}" for doc in sorted(grades)))
-
-
-def render_order_dump(dump_body: str, meta: Mapping[str, object] | None = None) -> str:
-    return _tsv(meta, ()) + dump_body

@@ -763,12 +763,16 @@ def test_analyze_audits_reject_duplicate_run_tags(env, capsys):
     out = env / "reports"
     audit = ["--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
              "--runs", str(env / "runs")]
+    message = (
+        f"error: duplicate run tag 'runA' in {env / 'runs' / 'runA-again.run'}"
+        f" and {env / 'runs' / 'runA.run'}\n"
+    )
     assert analyze(env, out, *audit) == 2
-    assert "duplicate run tag 'runA'" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert not out.exists()
     # evaluate rejects the same run set with the same message
     assert evaluate(env) == 2
-    assert "duplicate run tag 'runA'" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
 
 def test_analyze_warns_like_evaluate(env, capsys):
@@ -914,11 +918,12 @@ def test_rules_that_never_settle_fail_every_command_at_the_schema(env, capsys):
         ["order", "--schema", str(env / "loop.txt"), "--out", str(env / "order.txt")],
         ["evaluate", *inputs, "--out", str(env / "loop_out")],
     ]
+    message = f"error: {env / 'loop.txt'}: coupling rules never settle from nr,nc,b\n"
     for argv in commands:
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: coupling rules never settle from nr,nc,b\n"
+        assert capsys.readouterr().err == message
     assert analyze(env, env / "reports", *inputs) == 2
-    assert capsys.readouterr().err == "error: coupling rules never settle from nr,nc,b\n"
+    assert capsys.readouterr().err == message
     assert not any((env / name).exists() for name in ("order.txt", "loop_out", "reports"))
 
 
@@ -1084,7 +1089,7 @@ def test_discretize_threshold_mode(env, capsys):
 @pytest.mark.parametrize(
     "signals,args,message",
     [
-        ("a 0.9\nb nan\n", ["--fractions", "0.5,0.5"], "line 2: non-finite score 'nan'"),
+        ("a 0.9\nb nan\n", ["--fractions", "0.5,0.5"], "{signals}: line 2: non-finite score 'nan'"),
         ("a 0.9\n", ["--fractions", "nan"], "quantile fractions must be positive and finite"),
         ("a 0.9\n", ["--mode", "threshold", "--cuts", "nan"], "thresholds must be finite"),
     ],
@@ -1094,7 +1099,7 @@ def test_discretize_rejects_non_finite_numbers(env, capsys, signals, args, messa
     (env / "signals.txt").write_text(signals)
     assert main(["discretize", "--signals", str(env / "signals.txt"), *args]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.format(signals=env / 'signals.txt')}\n"
     assert captured.out == ""
 
 
@@ -1201,12 +1206,37 @@ def test_commands_never_fall_back_on_the_locale_encoding(text_inputs, env):
     assert sorted(p.name for p in (env / "quiet").iterdir()) == sorted(kinds)
 
 
+@pytest.mark.parametrize(
+    "kind, line, message",
+    [
+        ("schema", "lable x 4", "line {n}: unknown directive 'lable'"),
+        ("qrels", "2 0 d9 zz c", "line {n}: label 'zz' is not defined for aspect 'relevance'"),
+        ("aspect-qrels", "2 0 d9 hr c", "line {n}: expected 4 fields in 'relevance' qrels, got 5"),
+        ("run-dir", "2 Q0 d9 4 x runB", "line {n}: non-numeric score 'x'"),
+        ("scores", "runZ\t1\tEUCL-ndcg\tzz", "line {n}: non-numeric score 'zz'"),
+        ("signals", "d9 0.2 0.3", "line {n}: expected 2 fields, got 3"),
+        ("config", "[mesure]", "unknown config section 'mesure'; did you mean 'measure'?"),
+    ],
+)
+def test_every_input_error_names_its_file(text_inputs, env, capsys, kind, line, message):
+    """At many runs and tables a bare line number does not find the file."""
+    path, command = text_inputs[kind]
+    n = path.read_text().count("\n") + 1
+    with path.open("a") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert main(command(env / "bad")) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message.format(n=n)}\n"
+    assert not (env / "bad").exists()
+
+
 @pytest.mark.parametrize("token", ["--1", "\u00b2"])
 def test_a_grade_that_is_neither_index_nor_label_exits_2(env, capsys, token):
     (env / "qrels.txt").write_text(QRELS.replace("1 0 d2 hr pc", f"1 0 d2 {token} pc"))
     assert evaluate(env) == 2
     err = capsys.readouterr().err
-    assert err == f"error: line 3: label {token!r} is not defined for aspect 'relevance'\n"
+    message = f"line 3: label {token!r} is not defined for aspect 'relevance'"
+    assert err == f"error: {env / 'qrels.txt'}: {message}\n"
     assert not (env / "out").exists()
 
 

@@ -16,6 +16,7 @@ from aspecteval import (
     ConfigError,
     MeasureConfig,
     Metric,
+    PolicyViolation,
     RankedList,
     ScoreMatrix,
     GroundTruth,
@@ -528,6 +529,20 @@ def test_score_runs_rejects_a_judged_tuple_off_the_order_as_the_scalar_scorer_do
     with pytest.raises(ConfigError) as alone:
         score_runs([run_of("s", {"1": ["d1"]})], gt, schema, kinds=("ndcg",), metrics=())
     assert str(alone.value) == str(scalar.value)
+
+
+def test_score_runs_checks_the_weights_of_every_order_before_the_judged_tuples(schema):
+    # the orders are built one at a time, and the judged tuples are checked
+    # after the last one, so a bad weight list on a later order still comes first
+    gt = GroundTruth({("1", "d1"): (3, 1), ("1", "d2"): (0, 1)})
+    run = run_of("s", {"1": ["d1"]})
+    n = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN).n_classes
+    weights = list(range(n - 1, -1, -1))  # fits the Euclidean order, not the Chebyshev one
+    both = (Metric.EUCLIDEAN, Metric.CHEBYSHEV)
+    with pytest.raises(PolicyViolation, match=f"^explicit weights: expected 5 values, got {n}$"):
+        score_runs([run], gt, schema, metrics=both, weight_policy=weights)
+    with pytest.raises(ConfigError, match="without a weight"):
+        score_runs([run], gt, schema, metrics=both[:1], weight_policy=weights)
 
 
 def test_score_runs_names_the_first_infeasible_tuple_past_the_first_block(schema):

@@ -1,6 +1,7 @@
 """Distance-order construction, including the nine golden class chains of
 the reference embeddings (three correctness embeddings x three metrics)."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -30,6 +31,7 @@ from aspecteval import (
     parse_schema,
     score_runs,
 )
+import aspecteval.order as order_module
 from conftest import ground_truth_from, run_of
 from reference_impl import (
     SYNTH_SCHEMA,
@@ -357,7 +359,7 @@ def test_grid_orders_equal_the_tuple_list_oracle():
             expected = ref_build_order(feasible, schema, metric)
             assert [(c.key, c.members) for c in order.classes] == expected
             assert all(type(key) is int for key in order.keys)
-            assert format_order_dump(order) == "".join(
+            assert "".join(format_order_dump(order)) == "".join(
                 f"class {i} dist {key} : "
                 + ";".join(schema.format_tuple(t) for t in members) + "\n"
                 for i, (key, members) in enumerate(expected)
@@ -386,7 +388,7 @@ def test_orders_at_workload_size_equal_the_oracle():
         expected = ref_build_order(feasible, schema, metric)
         assert order.keys == tuple(key for key, _ in expected)
         assert [(c.key, c.members) for c in order.classes] == expected
-        assert format_order_dump(order) == "".join(
+        assert "".join(format_order_dump(order)) == "".join(
             f"class {i} dist {key} : " + ";".join(map(label.get, members)) + "\n"
             for i, (key, members) in enumerate(expected)
         )
@@ -429,24 +431,139 @@ def test_members_come_by_class_then_descending_cell_for_every_key_type(make, key
     expected = [members[a:b] for a, b in zip([0, *ends], ends)]
     assert [list(c.members) for c in order.classes] == expected
     labels = [a.labels for a in schema.aspects]
-    assert format_order_dump(order) == "".join(
+    assert "".join(format_order_dump(order)) == "".join(
         f"class {i} dist {key} : "
         + ";".join(",".join(ls[g] for ls, g in zip(labels, t)) for t in group) + "\n"
         for i, (key, group) in enumerate(zip(order.keys, expected))
     )
 
 
-@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.CHEBYSHEV])
-def test_order_dump_peaks_below_five_times_its_size(metric):
+# sha256 prefixes of each order's dump as it was written whole, before the
+# dump streamed in pieces: joining the pieces must not move a byte.
+DUMP_DIGESTS = {
+    "ac9": {
+        "euclidean": "556ba8a3c3d8ce20", "manhattan": "49ac711748a4921f",
+        "chebyshev": "047bf7c621a1ee10",
+    },
+    "wide": {
+        "euclidean": "3a0956ad67e2a8b4", "manhattan": "47258b90386fafff",
+        "chebyshev": "6fa5ce1cd98f3947",
+    },
+    "three-by-45": {
+        "euclidean": "7edf291aa9250d88", "manhattan": "ea282aef0c200c2f",
+        "chebyshev": "e5abe6ce38d3feac",
+    },
+}
+DUMP_SCHEMAS = {
+    "ac9": lambda: parse_schema(SYNTH_SCHEMA),
+    "wide": wide_schema,
+    "three-by-45": random_three_aspect_schema,
+}
+
+
+def dump_digest(order):
+    digest = hashlib.sha256()
+    for piece in format_order_dump(order):
+        digest.update(piece.encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", DUMP_DIGESTS)
+def test_streamed_dumps_keep_their_bytes(name):
+    schema = DUMP_SCHEMAS[name]()
+    space = build_tuple_space(schema)
+    got = {m.value: dump_digest(build_order(space, schema, m)) for m in Metric}
+    assert got == DUMP_DIGESTS[name]
+
+
+def test_the_wide_chebyshev_order_has_a_class_beyond_one_piece():
+    # so the digest above covers a class that spans pieces at the real bound
     schema = wide_schema()
+    order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
+    assert max(len(c.members) for c in order.classes) > order_module._DUMP_MEMBERS
+
+
+def test_a_class_larger_than_a_piece_spans_several(monkeypatch):
+    schema = parse_schema(SYNTH_SCHEMA)
+    order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
+    whole = "".join(format_order_dump(order))
+    largest = max(len(c.members) for c in order.classes)
+    assert largest >= 3
+    for size in (1, 2, largest - 1):
+        monkeypatch.setattr(order_module, "_DUMP_MEMBERS", size)
+        pieces = list(format_order_dump(order))
+        assert "".join(pieces) == whole
+        # every member label has one comma per aspect after the first
+        members = [piece.count(",") // (schema.n_aspects - 1) for piece in pieces]
+        assert max(members) == size and sum(members) == len(build_tuple_space(schema))
+
+
+@pytest.mark.parametrize("size", [1, 3, 8192])
+def test_empty_classes_of_a_hand_built_order_dump_as_empty_lines(monkeypatch, size):
+    monkeypatch.setattr(order_module, "_DUMP_MEMBERS", size)
+    schema = parse_schema(SYNTH_SCHEMA)
+    order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
+    # members in the odd classes only: the first, every even and the last
+    # class are empty
+    keys = tuple(range(2 * order.n_classes + 1))
+    sparse = DistanceOrder(order.metric, schema, keys, np.where(order.grid >= 0, 2 * order.grid + 1, -1))
+    expected = "".join(
+        f"class {i} dist {c.key} : " + ";".join(map(schema.format_tuple, c.members)) + "\n"
+        for i, c in enumerate(sparse.classes)
+    )
+    assert expected.startswith("class 0 dist 0 : \nclass 1 dist 1 : hr,c,b\nclass 2 dist 2 : \n")
+    assert "".join(format_order_dump(sparse)) == expected
+    nobody = np.full(schema.grid_shape, -1)
+    assert "".join(format_order_dump(DistanceOrder(order.metric, schema, (), nobody))) == ""
+    alone = DistanceOrder(order.metric, schema, (4, 5), nobody)
+    assert "".join(format_order_dump(alone)) == "class 0 dist 4 : \nclass 1 dist 5 : \n"
+
+
+@pytest.mark.parametrize(
+    "make, metric",
+    [(wide_schema, Metric.EUCLIDEAN), (wide_schema, Metric.CHEBYSHEV),
+     (random_three_aspect_schema, Metric.EUCLIDEAN)],
+    ids=["wide-eucl", "wide-cheb", "three-by-45"],
+)
+def test_streamed_dump_peaks_below_twice_its_size(make, metric):
+    """Written whole, the dump peaked at 3.7x its size on the wide schema
+    and 6x on 91,123 one-member classes."""
+    schema = make()
     order = build_order(build_tuple_space(schema), schema, metric)
     tracemalloc.start()
     try:
-        dump = format_order_dump(order)
+        size = largest = 0
+        for piece in format_order_dump(order):
+            size += len(piece)
+            largest = max(largest, len(piece))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * len(dump)
+    assert peak <= 2 * size
+    assert largest <= size / 5
+
+
+def test_score_runs_holds_one_order_at_a_time():
+    """Each order of the wide schema is a 135,000-cell int64 grid.  Scoring
+    builds the three orders one after the other and keeps of each only its
+    class weights and the judged docs' classes; holding all three grids
+    while building the last peaked at 5.9 grids."""
+    schema = wide_schema()
+    space = build_tuple_space(schema)
+    rng = random.Random(7)
+    cells = (tuple(rng.randrange(n) for n in schema.grid_shape) for _ in range(200))
+    judged = [t for t in cells if t in space][:40]
+    gt = ground_truth_from([("1", f"d{i}", t) for i, t in enumerate(judged)], schema)
+    run = run_of("r", {"1": [f"d{i}" for i in range(0, 40, 3)]})
+    grid_bytes = np.zeros(schema.grid_shape, dtype=np.int64).nbytes
+    tracemalloc.start()
+    try:
+        scores = score_runs([run], gt, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == 10
+    assert peak < 5 * grid_bytes
 
 
 def test_keys_beyond_64_bits_that_tie_share_one_class():
@@ -554,7 +671,7 @@ def test_all_worst_docs_cannot_score_the_maximum():
 
 def test_order_dump_format(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
-    dump = format_order_dump(order)
+    dump = "".join(format_order_dump(order))
     lines = dump.strip().splitlines()
     assert lines[0] == "class 0 dist 0 : hr,c"
     assert lines[2] == "class 2 dist 3 : hr,pc;fr,pc"
