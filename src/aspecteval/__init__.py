@@ -63,7 +63,6 @@ from .measures import (
     order_score,
 )
 from .order import (
-    DistanceClass,
     DistanceOrder,
     Metric,
     WeightAssignment,
@@ -79,7 +78,6 @@ from .schema import (
     GroundTruth,
     LabelTuple,
     TupleSpace,
-    apply_rules,
     build_tuple_space,
     parse_schema,
     validate_schema,
@@ -89,12 +87,10 @@ __all__ = [
     "__version__",
     # schema
     "Aspect", "AspectSchema", "CouplingRule", "GroundTruth", "LabelTuple",
-    "TupleSpace", "apply_rules", "build_tuple_space", "parse_schema",
-    "validate_schema",
+    "TupleSpace", "build_tuple_space", "parse_schema", "validate_schema",
     # order
-    "DistanceClass", "DistanceOrder", "Metric", "WeightAssignment",
-    "assign_weights", "build_order", "check_extends_partial_order",
-    "format_order_dump",
+    "DistanceOrder", "Metric", "WeightAssignment", "assign_weights",
+    "build_order", "check_extends_partial_order", "format_order_dump",
     # measures
     "MeasureConfig", "RankedList", "ScoreMatrix", "aspect_scores",
     "average_precision", "cam_score", "dcg", "mm_score", "ndcg", "score_runs",

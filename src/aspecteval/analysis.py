@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInput, MatrixMismatch
 from .ingest import runs_by_tag
-from .measures import ScoreMatrix, left_sum
+from .measures import SCORE_DECIMALS, ScoreMatrix, left_sum
 from .schema import GroundTruth
 
 
@@ -137,11 +137,12 @@ def _pair_rng(seed: int, run_a: str, run_b: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, h(lo), h(hi)]))
 
 
-# Scores are read at the 4 decimals the score tables print: the test turns
-# every score into an integer number of 1e-4 units, once.
-_UNITS = 10_000
-# Differences lie within +-1e4 units, so the int64 terms n * sum(D^2) and
-# sum(D)^2 stay below 2^63 while n^2 * 1e8 does: n < 3e5 topics.
+# Scores are read at the decimals the score tables print: the test turns
+# every score into an integer number of printed units, once.
+_UNITS = 10**SCORE_DECIMALS
+# Differences lie within +-_UNITS, so the int64 terms n * sum(D^2) and
+# sum(D)^2 stay below 2^63 while n^2 * _UNITS^2 does: at 1e4 units, n < 3e5
+# topics.
 _MAX_TOPICS = 300_000
 # Relative gap below which the float64 comparison of the test's two products
 # is settled with Python ints.  The products carry a few ulps of rounding at

@@ -127,7 +127,8 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        # interpolation=None: a value is read as written, a "%" included
+        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
         self.parser.optionxform = str  # aspect and label names keep their case
         self.used: dict[str, str] = {}
         if args.config:
@@ -375,7 +376,7 @@ def _write_out(pieces: Iterable[str], out: str | None) -> None:
 def cmd_order(st: Settings) -> int:
     """dump the distance order of a schema"""
     schema = st.load_schema(_require(st.get(SCHEMA), "schema path"))
-    metric = Metric.parse(st.get(ORDER_METRIC))
+    metric = Metric(st.get(ORDER_METRIC))
     order = build_order(build_tuple_space(schema), schema, metric)
     meta = {"config": st.hash(), "metric": metric.value, "classes": order.n_classes}
     # the dump streams: no string of the whole of it is ever made
@@ -390,11 +391,11 @@ def cmd_evaluate(st: Settings) -> int:
     runs = _load_runs(_require(st.get(RUNS), "runs path"), bool(st.get(HONOR_RANK)))
 
     metric_name = st.get(EVAL_METRIC)
-    metrics = tuple(Metric) if metric_name == "all" else (Metric.parse(metric_name),)
+    metrics = tuple(Metric) if metric_name == "all" else (Metric(metric_name),)
     kind = st.get(KIND)
     kinds = (NDCG, AP) if kind == "both" else (kind,)
     depth = st.get(DEPTH)
-    depth = None if depth is None or depth.lower() == "full" else _parse_number(depth, "depth", int)
+    depth = None if depth in (None, "full") else _parse_number(depth, "depth", int)
     gains = _aspect_sections(st, schema, "gains")
     relevant = _aspect_sections(st, schema, "relevant")  # each holds just `labels`
 

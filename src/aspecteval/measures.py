@@ -302,6 +302,10 @@ def mm_score(
 
 
 ALL_TOPIC = "all"  # the topic of each run's mean row in a score table, never a judged one
+# The decimals a score table prints each score with.  Its reader and the
+# bootstrap, which reads scores as the printed tables hold them, derive
+# their precision from it.
+SCORE_DECIMALS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,20 +344,6 @@ class ScoreMatrix:
         values = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def build(
-        cls, measure: str, scores: Mapping[tuple[str, str], float]
-    ) -> "ScoreMatrix":
-        run_tags = tuple(sorted({r for r, _ in scores}))
-        topic_ids = tuple(sorted({t for _, t in scores}))
-        values = np.empty((len(run_tags), len(topic_ids)))
-        for i, r in enumerate(run_tags):
-            for j, t in enumerate(topic_ids):
-                if (r, t) not in scores:
-                    raise ValueError(f"matrix {measure!r} is missing cell ({r}, {t})")
-                values[i, j] = scores[(r, t)]
-        return cls(measure, run_tags, topic_ids, values)
 
     def score(self, run_tag: str, topic_id: str) -> float:
         return float(

@@ -11,9 +11,9 @@ Class 0 is closest to the best tuple.
 An order is one key per class and a grid of class indices over the grade
 grid.  The check that it extends Pareto dominance takes a suffix maximum of
 that grid on reversed views, so it is linear in the grid size; the test
-suite keeps the dense pairwise check as its oracle.  Members and dumps list
-the grid's cells once, sorted by class in the smallest integer type that
-holds the class count.  A dump streams: each piece of at most a fixed number
+suite keeps the dense pairwise check as its oracle.  A dump lists the
+grid's cells once, sorted by class in the smallest integer type that holds
+the class count, and streams: each piece of at most a fixed number
 of members joins one flat list of separators (class headers and line ends
 at class boundaries), label prefixes (over all aspects but the last) and
 last labels.
@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MissingBestTuple, PolicyViolation
+from .errors import MissingBestTuple, PolicyViolation
 from .schema import AspectSchema, LabelTuple, TupleSpace, on_grid
 
 # Members per piece of an order dump: each piece's working lists and its
@@ -42,27 +42,9 @@ class Metric(Enum):
     MANHATTAN = "manhattan"
     CHEBYSHEV = "chebyshev"
 
-    @classmethod
-    def parse(cls, name: str) -> "Metric":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ConfigError(
-                f"unknown metric {name!r} (expected one of: {valid})"
-            ) from None
-
     @property
     def short(self) -> str:
         return {"euclidean": "EUCL", "manhattan": "MANH", "chebyshev": "CHEB"}[self.value]
-
-
-@dataclass(frozen=True)
-class DistanceClass:
-    """One equivalence class: tuples at the same distance from the best tuple."""
-
-    key: int
-    members: tuple[LabelTuple, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +70,6 @@ class DistanceOrder:
     @property
     def n_classes(self) -> int:
         return len(self.keys)
-
-    @property
-    def classes(self) -> tuple[DistanceClass, ...]:
-        """Each class with its members in descending lexicographic order of
-        their grade indices, which makes dumps deterministic."""
-        cells, spans = self._cells()
-        members = list(zip(*np.array(np.unravel_index(cells, self.grid.shape)).tolist()))
-        return tuple(DistanceClass(key, tuple(members[a:b])) for key, a, b in spans)
 
     def _cells(self) -> tuple[np.ndarray, Iterator[tuple[int, int, int]]]:
         """Flat grid indices of the members, class by class, each class in
@@ -173,13 +147,11 @@ def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> b
 @dataclass(frozen=True)
 class WeightAssignment:
     """Non-negative integer weight per class of ``order``, non-increasing
-    with distance from the best tuple; a tuple weighs what its class does."""
+    with distance from the best tuple; tuple ``t`` weighs
+    ``per_class[order.class_of(t)]``."""
 
     order: DistanceOrder
     per_class: tuple[int, ...]
-
-    def of(self, t: LabelTuple) -> int:
-        return self.per_class[self.order.class_of(t)]
 
     @property
     def is_binary(self) -> bool:
@@ -188,10 +160,9 @@ class WeightAssignment:
 
 def _class_weights(policy: str | Sequence[int], n_classes: int) -> list[int]:
     if isinstance(policy, str):
-        name = policy.lower()
-        if name == "distinct":
+        if policy == "distinct":
             return [n_classes - 1 - i for i in range(n_classes)]
-        if name == "binary":
+        if policy == "binary":
             if n_classes == 1:
                 # A single class contains the all-worst tuple, which must
                 # always weigh zero.

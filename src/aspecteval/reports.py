@@ -15,12 +15,13 @@ from . import __version__
 from .analysis import CorrelationReport, DPReport, QualityBandReport, ZeroAspectReport
 from .errors import ParseError
 from .ingest import _iter_lines
-from .measures import _SCORE_SLACK, ALL_TOPIC, ScoreMatrix
+from .measures import _SCORE_SLACK, ALL_TOPIC, SCORE_DECIMALS, ScoreMatrix
 
-# An ``all`` row and the topic scores it averages are each printed at 4
-# decimals, so the mean of the parsed scores may sit up to 0.5e-4 + 0.5e-4
-# from it; the 1e-9 absorbs the float error of that difference.
-_MEAN_SLACK = 1e-4 + 1e-9
+# An ``all`` row and the topic scores it averages are each printed at
+# SCORE_DECIMALS decimals, so the mean of the parsed scores may sit up to half
+# a printed unit from each, a whole unit in all; the 1e-9 absorbs the float
+# error of that difference.
+_MEAN_SLACK = 1 / 10**SCORE_DECIMALS + 1e-9
 
 
 def _tsv(meta: Mapping[str, object] | None, rows: Iterable[str]) -> str:
@@ -31,13 +32,14 @@ def _tsv(meta: Mapping[str, object] | None, rows: Iterable[str]) -> str:
 
 
 def render_scores(matrix: ScoreMatrix, meta: Mapping[str, object] | None = None) -> str:
-    """Rows ``run_tag topic measure score`` (4 decimals), grouped by run with
-    an ``all`` pseudo-topic row carrying the mean over topics."""
+    """Rows ``run_tag topic measure score`` (``SCORE_DECIMALS`` decimals),
+    grouped by run with an ``all`` pseudo-topic row carrying the mean over
+    topics."""
     rows = []
     for run, row in zip(matrix.run_tags, matrix.values.tolist()):
         for topic, score in zip(matrix.topic_ids, row):
-            rows.append(f"{run}\t{topic}\t{matrix.measure}\t{score:.4f}")
-        rows.append(f"{run}\t{ALL_TOPIC}\t{matrix.measure}\t{matrix.mean(run):.4f}")
+            rows.append(f"{run}\t{topic}\t{matrix.measure}\t{score:.{SCORE_DECIMALS}f}")
+        rows.append(f"{run}\t{ALL_TOPIC}\t{matrix.measure}\t{matrix.mean(run):.{SCORE_DECIMALS}f}")
     return _tsv(meta, rows)
 
 
@@ -77,10 +79,14 @@ def parse_scores(text: str) -> ScoreMatrix:
     summary_only = sorted({run for run, _ in cells} - {run for run, _ in scores})
     if summary_only:
         raise ParseError(f"run {summary_only[0]!r} has only an {ALL_TOPIC!r} row")
+    run_tags = sorted({run for run, _ in scores})
+    topic_ids = sorted({topic for _, topic in scores})
     try:
-        matrix = ScoreMatrix.build(measure, scores)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        values = [[scores[run, topic] for topic in topic_ids] for run in run_tags]
+    except KeyError as exc:  # the first missing cell, run by run
+        run, topic = exc.args[0]
+        raise ParseError(f"matrix {measure!r} is missing cell ({run}, {topic})") from None
+    matrix = ScoreMatrix(measure, tuple(run_tags), tuple(topic_ids), values)
     for run, lineno in all_lines.items():  # in line order
         score, mean = cells[(run, ALL_TOPIC)], matrix.mean(run)
         if not math.isfinite(score) or abs(score - mean) > _MEAN_SLACK:

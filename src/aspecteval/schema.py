@@ -286,18 +286,6 @@ def parse_schema(text: str) -> AspectSchema:
     return AspectSchema(aspects, tuple(rules))
 
 
-def apply_rules(t: LabelTuple, schema: AspectSchema) -> tuple[LabelTuple, int]:
-    """Force ``t`` into rule compliance, returning (tuple, corrections made).
-
-    The tuple is the fixpoint the rules reach from ``t`` (forcing one aspect
-    may trigger another rule).  A tuple off the grid raises, as in
-    :meth:`AspectSchema.check_tuple`.
-    """
-    schema.check_tuple(t)
-    (settled,), corrections = schema.settle([t])
-    return settled, corrections
-
-
 def on_grid(t: LabelTuple, shape: tuple[int, ...]) -> bool:
     """True iff ``t`` names a cell of ``shape``; a grade of -1 does not wrap."""
     return len(t) == len(shape) and min(t) >= 0 and all(map(lt, t, shape))

@@ -12,6 +12,7 @@ from aspecteval import (
     RankedList,
     RunFile,
     SchemaError,
+    ScoreMatrix,
     build_tuple_space,
     parse_schema,
 )
@@ -96,6 +97,15 @@ def run_of(tag, per_topic):
         for topic, docs in per_topic.items()
     }
     return RunFile(tag, topics, scores)
+
+
+def score_matrix(measure, cells):
+    """ScoreMatrix over the sorted run tags and topic ids of ``cells``, a
+    (run, topic) -> score mapping with every cell of that grid."""
+    runs = sorted({r for r, _ in cells})
+    topics = sorted({t for _, t in cells})
+    values = [[cells[r, t] for t in topics] for r in runs]
+    return ScoreMatrix(measure, tuple(runs), tuple(topics), values)
 
 
 def run_tag_for(perm):

@@ -217,6 +217,18 @@ def ref_build_order(tuples, schema, metric):
     return [(key, tuple(sorted(groups[key], reverse=True))) for key in sorted(groups)]
 
 
+def ref_classes(order):
+    """[(key, members)] per class of a built order, in the shape of
+    ``ref_build_order``: each grid cell is read in turn, in descending
+    lexicographic order, and put in the class its grid entry names."""
+    members = [[] for _ in order.keys]
+    for t in itertools.product(*(range(n - 1, -1, -1) for n in order.grid.shape)):
+        i = order.grid.item(t)
+        if i >= 0:
+            members[i].append(t)
+    return [(key, tuple(m)) for key, m in zip(order.keys, members)]
+
+
 # ---------------------------------------------------------------------------
 # Pareto dominance
 
@@ -226,7 +238,7 @@ def ref_extends_dominance(order, schema):
     tuple's on every aspect sits in a later class.  O(n^2 * aspects) memory,
     so keep it to small schemas; embed values too large for int64 make numpy
     fall back to exact Python-int object arrays."""
-    members = [(t, i) for i, cls in enumerate(order.classes) for t in cls.members]
+    members = [(t, i) for i, (_, tuples) in enumerate(ref_classes(order)) for t in tuples]
     coords = np.asarray(
         [[vals[g] for vals, g in zip(schema.scaled_values, t)] for t, _ in members]
     )

@@ -363,12 +363,15 @@ def test_ac4_perfect_scores_and_upper_bounds():
                 (metric, "explicit", assign_weights(orders[metric], explicit[metric]))
             )
         # the claim presumes a topic where something carries positive weight
-        if any(all(w.of(t) == 0 for t in docs.values()) for _, _, w in assignments):
+        if any(
+            all(w.per_class[w.order.class_of(t)] == 0 for t in docs.values())
+            for _, _, w in assignments
+        ):
             continue
         topics += 1
         gt = ground_truth_from([("q", d, t) for d, t in docs.items()], schema)
         for metric, policy, w in assignments:
-            by_weight = sorted(docs, key=lambda d: (-w.of(docs[d]), d))
+            by_weight = sorted(docs, key=lambda d: (-w.per_class[w.order.class_of(docs[d])], d))
             score = order_score(RankedList("q", tuple(by_weight)), gt, w, cfg)
             if abs(score - 1.0) > 1e-12:
                 failures.append(f"topic {topics} {metric.value}/{policy}: {score}")
@@ -465,17 +468,11 @@ def test_ac6_rank_correlation_oracle():
 def test_ac7_bootstrap_null_calibration():
     failures = []
     rng = np.random.default_rng(58008)
-    topics = [f"t{i:02d}" for i in range(50)]
+    topics = tuple(f"t{i:02d}" for i in range(50))
     started = time.monotonic()
     pairs = significant = 0
     for trial in range(1000):
-        scores = rng.random((2, len(topics)))
-        cells = {
-            (run, topic): float(score)
-            for run, row in zip(("a", "b"), scores)
-            for topic, score in zip(topics, row)
-        }
-        m = ScoreMatrix.build("NULL", cells)
+        m = ScoreMatrix("NULL", ("a", "b"), topics, rng.random((2, len(topics))))
         report = discriminative_powers([m], b_samples=10_000, alpha=0.01, seed=trial)[0]
         pairs += report.pairs_total
         significant += report.pairs_significant
@@ -488,13 +485,11 @@ def test_ac7_bootstrap_null_calibration():
     if elapsed >= 120.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 2 minutes")
     small_rng = np.random.default_rng(4242)
-    small = ScoreMatrix.build(
+    small = ScoreMatrix(
         "S",
-        {
-            (f"s{r}", f"t{t:02d}"): float(small_rng.random())
-            for r in range(6)
-            for t in range(12)
-        },
+        tuple(f"s{r}" for r in range(6)),
+        tuple(f"t{t:02d}" for t in range(12)),
+        small_rng.random((6, 12)),
     )
     one = discriminative_powers([small], b_samples=2000, alpha=0.01, seed=99)[0]
     two = discriminative_powers([small], b_samples=2000, alpha=0.01, seed=99)[0]

@@ -30,7 +30,7 @@ from aspecteval import (
 )
 from aspecteval import analysis
 from aspecteval.analysis import _BLOCK_ELEMENTS, _bootstrap_asls, _pair_rng
-from conftest import run_of
+from conftest import run_of, score_matrix
 from reference_impl import ref_bootstrap_asl, ref_discriminative_power, ref_units
 
 
@@ -108,17 +108,13 @@ def test_kendall_tau_degenerate_and_invalid():
     )
 
 
-def matrix(measure, cells):
-    return ScoreMatrix.build(measure, cells)
-
-
 def grid(measure, rows):
     """rows: {topic: [scores for runs r1..rn]}"""
     cells = {}
     for topic, scores in rows.items():
         for i, s in enumerate(scores, start=1):
             cells[(f"r{i}", topic)] = s
-    return matrix(measure, cells)
+    return score_matrix(measure, cells)
 
 
 def test_correlation_of_a_measure_with_itself_is_one():
@@ -176,7 +172,7 @@ def test_correlation_requires_aligned_matrices():
     b = grid("B", {"2": [0.1, 0.2]})
     with pytest.raises(MatrixMismatch):
         measure_correlation(a, b)
-    c = matrix("C", {("other", "1"): 0.1, ("r2", "1"): 0.2})
+    c = score_matrix("C", {("other", "1"): 0.1, ("r2", "1"): 0.2})
     with pytest.raises(MatrixMismatch):
         measure_correlation(a, c)
 
@@ -218,7 +214,7 @@ def dp_matrix():
     for tag, lift in (("runA", 0.0), ("runB", 0.12), ("runC", 0.02)):
         for t in topics:
             cells[(tag, t)] = round(min(1.0, max(0.0, rng.uniform(0.2, 0.6) + lift)), 4)
-    return matrix("X", cells)
+    return score_matrix("X", cells)
 
 
 def test_dp_matches_naive_bootstrap_with_shared_draws(dp_matrix):
@@ -283,7 +279,7 @@ def dp_tables(n, count=10, runs=5):
             for i in range(runs)
             for j in range(n)
         }
-        tables.append(matrix(f"M{k}", cells))
+        tables.append(score_matrix(f"M{k}", cells))
     return tables
 
 
@@ -323,11 +319,11 @@ def test_pair_major_dp_equals_the_per_table_oracle(monkeypatch):
 def test_pair_major_dp_rejects_tables_that_do_not_align(dp_matrix):
     with pytest.raises(ConfigError, match="at least one score table"):
         discriminative_powers([], 10, 0.05, 0)
-    other_runs = matrix("Y", {("runA", "1"): 0.1, ("runZ", "1"): 0.2,
-                              ("runA", "2"): 0.3, ("runZ", "2"): 0.4})
+    other_runs = score_matrix("Y", {("runA", "1"): 0.1, ("runZ", "1"): 0.2,
+                                    ("runA", "2"): 0.3, ("runZ", "2"): 0.4})
     with pytest.raises(MatrixMismatch, match="different runs or topics"):
         discriminative_powers([dp_matrix, other_runs], 10, 0.05, 0)
-    fewer_topics = matrix("Y", {
+    fewer_topics = score_matrix("Y", {
         (r, t): dp_matrix.score(r, t) for r in dp_matrix.run_tags for t in dp_matrix.topic_ids[1:]
     })
     with pytest.raises(MatrixMismatch, match="different runs or topics"):
@@ -439,7 +435,7 @@ def test_dp_is_deterministic_and_order_invariant(dp_matrix):
         for t in reversed(dp_matrix.topic_ids)
         for r in reversed(dp_matrix.run_tags)
     }
-    r3 = discriminative_powers([matrix("X", cells)], b_samples=300, alpha=0.05, seed=11)[0]
+    r3 = discriminative_powers([score_matrix("X", cells)], b_samples=300, alpha=0.05, seed=11)[0]
     assert r3 == r1
 
 
@@ -448,7 +444,7 @@ def test_dp_identical_runs_are_never_discriminated():
     for tag in ("a", "b"):
         for t in ("1", "2", "3"):
             cells[(tag, t)] = {"1": 0.3, "2": 0.7, "3": 0.5}[t]
-    report = discriminative_powers([matrix("X", cells)], b_samples=50, alpha=0.5, seed=1)[0]
+    report = discriminative_powers([score_matrix("X", cells)], b_samples=50, alpha=0.5, seed=1)[0]
     (pair,) = report.pairs
     assert pair.t == 0.0
     assert pair.asl == 1.0
@@ -460,7 +456,7 @@ def test_dp_constant_shift_is_always_discriminated():
     # dyadic scores keep the pairwise differences exactly constant
     cells = {("a", t): s for t, s in (("1", 0.25), ("2", 0.5), ("3", 0.375))}
     cells.update({("b", t): cells[("a", t)] + 0.25 for t in ("1", "2", "3")})
-    report = discriminative_powers([matrix("X", cells)], b_samples=50, alpha=0.001, seed=1)[0]
+    report = discriminative_powers([score_matrix("X", cells)], b_samples=50, alpha=0.001, seed=1)[0]
     (pair,) = report.pairs
     assert math.isinf(pair.t) and pair.t < 0  # run a scores below run b
     assert pair.asl == 0.0
@@ -474,7 +470,8 @@ def test_dp_constant_non_dyadic_shift_is_always_discriminated():
     a = {"1": 0.1, "2": 0.3, "3": 0.5, "4": 0.2}
     b = {"1": 0.3, "2": 0.5, "3": 0.7, "4": 0.4}
     cells = {("a", t): s for t, s in a.items()} | {("b", t): s for t, s in b.items()}
-    report = discriminative_powers([matrix("X", cells)], b_samples=1000, alpha=0.001, seed=1)[0]
+    table = score_matrix("X", cells)
+    report = discriminative_powers([table], b_samples=1000, alpha=0.001, seed=1)[0]
     (pair,) = report.pairs
     assert (pair.t, pair.asl, pair.significant) == (-math.inf, 0.0, True)
 

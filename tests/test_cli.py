@@ -19,7 +19,7 @@ import aspecteval
 from aspecteval import ScoreMatrix
 from aspecteval.cli import KNOWN_KEYS, build_parser, main
 from aspecteval.reports import parse_scores, render_dp, render_scores
-from conftest import REFERENCE_SCHEMA
+from conftest import REFERENCE_SCHEMA, score_matrix
 
 QRELS = """\
 # aspects: relevance correctness
@@ -367,6 +367,19 @@ def test_evaluate_depth_flag(env):
     assert "runB\t1\tEUCL-ndcg\t0.7143" in text  # weight 5 of an ideal 7 at rank 1
 
 
+def test_evaluate_reads_depth_full_exactly(env, capsys):
+    def rows(out):
+        text = (out / "scores_EUCL-ndcg.tsv").read_text()
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    assert evaluate(env, "--out", str(env / "default")) == 0
+    assert evaluate(env, "--depth", "full", "--out", str(env / "full")) == 0
+    assert rows(env / "full") == rows(env / "default")
+    assert evaluate(env, "--depth", "FULL") == 2
+    assert capsys.readouterr().err == "error: depth must be an integer, got 'FULL'\n"
+    assert not (env / "out").exists()
+
+
 def test_evaluate_rejects_bad_depth(env, capsys):
     assert evaluate(env, "--depth", "0") == 2
     assert "depth" in capsys.readouterr().err
@@ -615,7 +628,7 @@ def test_analyze_tables_do_not_leak_into_each_other(tmp_path):
         if label == "CAM-ap":  # zero spread in this table only
             cells.update({("run03", t): cells[("run02", t)] for t in topics})
         path = tmp_path / f"scores_{label}.tsv"
-        path.write_text(render_scores(ScoreMatrix.build(label, cells), {"config": "x"}))
+        path.write_text(render_scores(score_matrix(label, cells), {"config": "x"}))
         paths.append(str(path))
 
     def dp_files(out, scores):
@@ -665,7 +678,7 @@ def dp_score_tables(tmp_path, runs=6, topics=30):
         if label == "EUCL-ndcg":
             cells.update({("r1", str(t)): cells[("r0", str(t))] for t in range(topics)})
         path = tmp_path / f"scores_{label}.tsv"
-        path.write_text(render_scores(ScoreMatrix.build(label, cells), {"config": "x"}))
+        path.write_text(render_scores(score_matrix(label, cells), {"config": "x"}))
         paths.append(str(path))
     return paths
 
@@ -856,14 +869,20 @@ def test_relevant_labels_must_name_a_label(env, capsys, section):
 
 
 @pytest.mark.parametrize(
-    "ini",
-    ["metric = euclidean\n", "[order]\nmetric = a\nmetric = b\n", "[measure]\ndepth = 5%\n"],
+    "ini,message",
+    [
+        ("metric = euclidean\n", "File contains no section headers."),
+        ("[order]\nmetric = a\nmetric = b\n", "option 'metric' in section 'order' already exists"),
+        # read as written, the value fails as a depth, not as an interpolation
+        ("[measure]\ndepth = 5%\n", "depth must be an integer, got '5%'"),
+    ],
     ids=["no-section", "duplicate-key", "bare-percent"],
 )
-def test_malformed_config_files_exit_2(env, capsys, ini):
+def test_malformed_config_files_exit_2(env, capsys, ini, message):
     (env / "eval.ini").write_text(ini)
     assert evaluate(env, "--config", str(env / "eval.ini")) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not (env / "out").exists()
 
 
@@ -990,7 +1009,7 @@ def test_analyze_one_run_tables_exit_2(tmp_path, capsys):
     for label in ("EUCL-ndcg", "CHEB-ndcg"):
         cells = {("only", "1"): 0.5, ("only", "2"): 0.25}
         path = tmp_path / f"scores_{label}.tsv"
-        path.write_text(render_scores(ScoreMatrix.build(label, cells), {"config": "x"}))
+        path.write_text(render_scores(score_matrix(label, cells), {"config": "x"}))
         paths.append(str(path))
     out = tmp_path / "reports"
     assert main(["analyze", "--scores", *paths, "--seed", "1", "--out", str(out)]) == 2
@@ -1005,7 +1024,9 @@ def output_files(out):
 
 def test_paths_from_flags_and_config_hash_alike(env):
     assert evaluate(env, "--out", str(env / "by_flag")) == 0
-    (env / "paths.ini").write_text(f"[files]\nruns = {env / 'runs'}\n")
+    # a config value is read as written: "%" is no interpolation escape
+    shutil.copytree(env / "runs", env / "runs%1")
+    (env / "paths.ini").write_text(f"[files]\nruns = {env / 'runs%1'}\n")
     assert main(["evaluate", "--config", str(env / "paths.ini"),
                  "--schema", str(env / "schema.txt"), "--qrels", str(env / "qrels.txt"),
                  "--out", str(env / "by_config")]) == 0
@@ -1253,10 +1274,7 @@ def test_evaluate_rejects_a_judged_topic_named_all(env, capsys):
 
 
 def test_score_table_round_trip():
-    matrix = ScoreMatrix.build(
-        "X-ndcg",
-        {("a", "1"): 0.12345, ("a", "2"): 1.0, ("b", "1"): 0.0, ("b", "2"): 0.5},
-    )
+    matrix = ScoreMatrix("X-ndcg", ("a", "b"), ("1", "2"), [[0.12345, 1.0], [0.0, 0.5]])
     text = render_scores(matrix, {"config": "abc"})
     back = parse_scores(text)
     assert back.measure == "X-ndcg"
@@ -1278,8 +1296,10 @@ def test_parse_scores_rejects_malformed_tables():
         parse_scores("a\t1\tX\t0.5\na\t2\tY\t0.5\n")
     with pytest.raises(ParseError, match="duplicate cell"):
         parse_scores("a\t1\tX\t0.5\na\t1\tX\t0.6\n")
-    with pytest.raises(ParseError, match="missing cell"):
+    with pytest.raises(ParseError, match=r"^matrix 'X' is missing cell \(a, 2\)$"):
         parse_scores("a\t1\tX\t0.5\nb\t2\tX\t0.6\n")
+    with pytest.raises(ParseError, match=r"^matrix 'X' is missing cell \(b, 1\)$"):
+        parse_scores("a\t1\tX\t0.5\na\t2\tX\t0.5\nb\t2\tX\t0.6\nb\tall\tX\t0.6\n")
     # a judged topic named 'all' next to the mean row
     with pytest.raises(ParseError, match=r"^line 4: duplicate cell \(a, all\)$"):
         parse_scores("a\t1\tX\t0.5\na\tall\tX\t1.0\nb\t1\tX\t0.5\na\tall\tX\t0.75\n")
@@ -1330,7 +1350,7 @@ def test_parse_scores_reads_back_tables_rendered_from_unrounded_scores():
     # topic scores that round away from their mean in both directions
     cells.update({("near", "0"): 0.12344999, ("near", "1"): 0.12345001})
     cells.update({("near", f"{t}"): 0.5 for t in range(2, 37)})
-    matrix = ScoreMatrix.build("X", cells)
+    matrix = score_matrix("X", cells)
     back = parse_scores(render_scores(matrix))
     assert back.run_tags == matrix.run_tags and back.topic_ids == matrix.topic_ids
 

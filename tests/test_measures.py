@@ -44,6 +44,7 @@ from conftest import (
     ranking,
     run_of,
     run_tag_for,
+    score_matrix,
 )
 from aspecteval.measures import _BLOCK_ELEMENTS
 from reference_impl import estimate_upper_bound, generate_ideal_rankings, ref_sum
@@ -149,14 +150,16 @@ def orders(schema):
 
 
 def test_reference_pool_weights(orders):
-    distinct = {m: assign_weights(orders[m], "distinct") for m in Metric}
-    assert [distinct[Metric.EUCLIDEAN].of(POOL[d]) for d in ("d1", "d2", "d3")] == [5, 7, 3]
-    assert [distinct[Metric.MANHATTAN].of(POOL[d]) for d in ("d1", "d2", "d3")] == [6, 7, 4]
-    assert [distinct[Metric.CHEBYSHEV].of(POOL[d]) for d in ("d1", "d2", "d3")] == [1, 2, 0]
-    binary = {m: assign_weights(orders[m], "binary") for m in Metric}
-    assert [binary[Metric.EUCLIDEAN].of(POOL[d]) for d in ("d1", "d2", "d3")] == [1, 1, 0]
-    assert [binary[Metric.MANHATTAN].of(POOL[d]) for d in ("d1", "d2", "d3")] == [1, 1, 0]
-    assert [binary[Metric.CHEBYSHEV].of(POOL[d]) for d in ("d1", "d2", "d3")] == [0, 1, 0]
+    def pool_weights(metric, policy):
+        per_class = assign_weights(orders[metric], policy).per_class
+        return [per_class[orders[metric].class_of(POOL[d])] for d in ("d1", "d2", "d3")]
+
+    assert pool_weights(Metric.EUCLIDEAN, "distinct") == [5, 7, 3]
+    assert pool_weights(Metric.MANHATTAN, "distinct") == [6, 7, 4]
+    assert pool_weights(Metric.CHEBYSHEV, "distinct") == [1, 2, 0]
+    assert pool_weights(Metric.EUCLIDEAN, "binary") == [1, 1, 0]
+    assert pool_weights(Metric.MANHATTAN, "binary") == [1, 1, 0]
+    assert pool_weights(Metric.CHEBYSHEV, "binary") == [0, 1, 0]
 
 
 def test_order_score_ndcg_perfect_for_descending_weights(gt, orders):
@@ -164,7 +167,7 @@ def test_order_score_ndcg_perfect_for_descending_weights(gt, orders):
     for metric, order in orders.items():
         for policy in ("distinct", "binary"):
             w = assign_weights(order, policy)
-            by_weight = sorted(POOL, key=lambda d: -w.of(POOL[d]))
+            by_weight = sorted(POOL, key=lambda d: -w.per_class[order.class_of(POOL[d])])
             score = order_score(ranking(by_weight), gt, w, cfg)
             assert score == pytest.approx(1.0, abs=1e-12), (metric, policy)
 
@@ -388,21 +391,16 @@ def test_upper_bound_gap_between_aggregation_and_order_scoring(schema, gt, order
 # score matrices
 
 
-def test_score_matrix_build_and_means():
-    m = ScoreMatrix.build(
-        "X", {("a", "1"): 0.5, ("a", "2"): 1.0, ("b", "1"): 0.0, ("b", "2"): 0.5}
-    )
-    assert m.run_tags == ("a", "b")
-    assert m.topic_ids == ("1", "2")
+def test_score_matrix_scores_and_means():
+    m = ScoreMatrix("X", ("a", "b"), ("1", "2"), [[0.5, 1.0], [0.0, 0.5]])
+    assert m.score("a", "2") == 1.0
     assert m.mean("a") == pytest.approx(0.75)
-    with pytest.raises(ValueError, match="missing cell"):
-        ScoreMatrix.build("X", {("a", "1"): 0.5, ("b", "2"): 0.5})
     with pytest.raises(ValueError, match="out of range"):
-        ScoreMatrix.build("X", {("a", "1"): 1.5})
+        ScoreMatrix("X", ("a",), ("1",), [[1.5]])
     with pytest.raises(ValueError, match="read-only"):
         m.values[0, 0] = 0.25
     # clamped like max(0.0, s): a negative zero must not print as -0.0000
-    assert math.copysign(1.0, ScoreMatrix.build("X", {("a", "1"): -0.0}).score("a", "1")) == 1.0
+    assert math.copysign(1.0, ScoreMatrix("X", ("a",), ("1",), [[-0.0]]).score("a", "1")) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -427,7 +425,7 @@ def test_score_matrix_mean_sums_left_to_right():
     cells = {(r, f"t{j:03d}"): rng.random() for r in "abcd" for j in range(200)}
     # a row whose compensated sum differs: 1.0, then 199 terms of 1e-16
     cells.update({("e", f"t{j:03d}"): 1e-16 if j else 1.0 for j in range(200)})
-    m = ScoreMatrix.build("X", cells)
+    m = score_matrix("X", cells)
     for r in m.run_tags:
         row = [cells[(r, t)] for t in m.topic_ids]
         assert m.mean(r) == ref_sum(row) / len(row)

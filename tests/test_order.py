@@ -21,7 +21,6 @@ from aspecteval import (
     RankedList,
     SchemaError,
     TupleSpace,
-    apply_rules,
     assign_weights,
     build_order,
     build_tuple_space,
@@ -36,6 +35,7 @@ from conftest import ground_truth_from, run_of
 from reference_impl import (
     SYNTH_SCHEMA,
     ref_build_order,
+    ref_classes,
     ref_extends_dominance,
     ref_tuple_space,
     ref_unsettled_tuple,
@@ -105,8 +105,8 @@ CHAINS = {
 @pytest.mark.parametrize("values,metric", sorted(CHAINS))
 def test_golden_class_chains(values, metric):
     schema = make_schema(values.split())
-    order = build_order(build_tuple_space(schema), schema, Metric.parse(metric))
-    got = [set(cls.members) for cls in order.classes]
+    order = build_order(build_tuple_space(schema), schema, Metric(metric))
+    got = [set(members) for _, members in ref_classes(order)]
     assert got == CHAINS[(values, metric)]
 
 
@@ -115,7 +115,7 @@ def test_distance_keys_are_exact_integers(schema):
     space = build_tuple_space(schema)
     for metric, key in ((Metric.EUCLIDEAN, 13), (Metric.MANHATTAN, 5), (Metric.CHEBYSHEV, 3)):
         order = build_order(space, schema, metric)
-        assert order.classes[order.class_of((2, 1))].key == key
+        assert order.keys[order.class_of((2, 1))] == key
 
 
 BIG_SCHEMA = "aspect a\nlabel x 0\nlabel y 1e30\naspect b\nlabel p 0\nlabel q 1\nlabel r 2\n"
@@ -131,8 +131,8 @@ def test_embed_values_beyond_int64_stay_exact():
     }
     for metric, keys in expected.items():
         order = build_order(build_tuple_space(s), s, metric)
-        assert [cls.key for cls in order.classes] == keys
-        assert all(type(cls.key) is int for cls in order.classes)
+        assert list(order.keys) == keys
+        assert all(type(key) is int for key in order.keys)
         assert check_extends_partial_order(order, s)
         assert ref_extends_dominance(order, s)
 
@@ -140,8 +140,7 @@ def test_embed_values_beyond_int64_stay_exact():
 def test_class_zero_is_the_best_tuple(schema):
     for metric in Metric:
         order = build_order(build_tuple_space(schema), schema, metric)
-        assert order.classes[0].key == 0
-        assert order.classes[0].members == ((3, 2),)
+        assert ref_classes(order)[0] == (0, ((3, 2),))
 
 
 def test_translation_leaves_the_partition_unchanged():
@@ -151,7 +150,7 @@ def test_translation_leaves_the_partition_unchanged():
     for metric in Metric:
         a = build_order(build_tuple_space(base), base, metric)
         b = build_order(build_tuple_space(shifted), shifted, metric)
-        assert [c.members for c in a.classes] == [c.members for c in b.classes]
+        assert [m for _, m in ref_classes(a)] == [m for _, m in ref_classes(b)]
 
 
 def test_missing_best_tuple_is_an_error(schema):
@@ -357,7 +356,7 @@ def test_grid_orders_equal_the_tuple_list_oracle():
         for metric in Metric:
             order = build_order(space, schema, metric)
             expected = ref_build_order(feasible, schema, metric)
-            assert [(c.key, c.members) for c in order.classes] == expected
+            assert ref_classes(order) == expected
             assert all(type(key) is int for key in order.keys)
             assert "".join(format_order_dump(order)) == "".join(
                 f"class {i} dist {key} : "
@@ -387,7 +386,7 @@ def test_orders_at_workload_size_equal_the_oracle():
         order = build_order(space, schema, metric)
         expected = ref_build_order(feasible, schema, metric)
         assert order.keys == tuple(key for key, _ in expected)
-        assert [(c.key, c.members) for c in order.classes] == expected
+        assert ref_classes(order) == expected
         assert "".join(format_order_dump(order)) == "".join(
             f"class {i} dist {key} : " + ";".join(map(label.get, members)) + "\n"
             for i, (key, members) in enumerate(expected)
@@ -429,7 +428,9 @@ def test_members_come_by_class_then_descending_cell_for_every_key_type(make, key
     members = list(zip(*np.array(np.unravel_index(by_class, order.grid.shape)).tolist()))
     ends = np.cumsum(np.bincount(classes, minlength=order.n_classes)).tolist()
     expected = [members[a:b] for a, b in zip([0, *ends], ends)]
-    assert [list(c.members) for c in order.classes] == expected
+    got, spans = order._cells()
+    assert got.tolist() == by_class.tolist()
+    assert list(spans) == list(zip(order.keys, [0, *ends], ends))
     labels = [a.labels for a in schema.aspects]
     assert "".join(format_order_dump(order)) == "".join(
         f"class {i} dist {key} : "
@@ -480,14 +481,14 @@ def test_the_wide_chebyshev_order_has_a_class_beyond_one_piece():
     # so the digest above covers a class that spans pieces at the real bound
     schema = wide_schema()
     order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
-    assert max(len(c.members) for c in order.classes) > order_module._DUMP_MEMBERS
+    assert max(len(m) for _, m in ref_classes(order)) > order_module._DUMP_MEMBERS
 
 
 def test_a_class_larger_than_a_piece_spans_several(monkeypatch):
     schema = parse_schema(SYNTH_SCHEMA)
     order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
     whole = "".join(format_order_dump(order))
-    largest = max(len(c.members) for c in order.classes)
+    largest = max(len(m) for _, m in ref_classes(order))
     assert largest >= 3
     for size in (1, 2, largest - 1):
         monkeypatch.setattr(order_module, "_DUMP_MEMBERS", size)
@@ -508,8 +509,8 @@ def test_empty_classes_of_a_hand_built_order_dump_as_empty_lines(monkeypatch, si
     keys = tuple(range(2 * order.n_classes + 1))
     sparse = DistanceOrder(order.metric, schema, keys, np.where(order.grid >= 0, 2 * order.grid + 1, -1))
     expected = "".join(
-        f"class {i} dist {c.key} : " + ";".join(map(schema.format_tuple, c.members)) + "\n"
-        for i, c in enumerate(sparse.classes)
+        f"class {i} dist {key} : " + ";".join(map(schema.format_tuple, members)) + "\n"
+        for i, (key, members) in enumerate(ref_classes(sparse))
     )
     assert expected.startswith("class 0 dist 0 : \nclass 1 dist 1 : hr,c,b\nclass 2 dist 2 : \n")
     assert "".join(format_order_dump(sparse)) == expected
@@ -579,7 +580,7 @@ def test_keys_beyond_64_bits_that_tie_share_one_class():
         order = build_order(build_tuple_space(s), s, metric)
         assert order.keys == keys
         assert all(type(key) is int for key in order.keys)
-        assert order.classes[order.class_of((0, 1))].members == tied
+        assert ref_classes(order)[order.class_of((0, 1))][1] == tied
 
 
 def test_keys_come_only_from_feasible_tuples():
@@ -601,11 +602,11 @@ def test_keys_come_only_from_feasible_tuples():
         assert order.n_classes == len(ref_build_order(ref_tuple_space(s), s, metric))
 
 
-def test_apply_rules_lands_in_the_space():
+def test_settled_tuples_land_in_the_space():
     for schema in oracle_schemas():
         space = build_tuple_space(schema)
         for t in itertools.product(*(range(n) for n in schema.grid_shape)):
-            fixed, corrections = apply_rules(t, schema)
+            (fixed,), corrections = schema.settle([t])
             assert fixed in space
             assert (corrections == 0) == (t in space)
 
@@ -613,8 +614,8 @@ def test_apply_rules_lands_in_the_space():
 def test_distinct_weights_count_down_from_top(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
     w = assign_weights(order, "distinct")
-    assert w.of((3, 2)) == 9
-    assert w.of((0, 0)) == 0
+    assert w.per_class[order.class_of((3, 2))] == 9
+    assert w.per_class[order.class_of((0, 0))] == 0
     assert sorted(set(w.per_class)) == list(range(10))
     assert list(w.per_class) == sorted(w.per_class, reverse=True)
 
@@ -623,10 +624,8 @@ def test_binary_weights_cover_the_top_half(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
     w = assign_weights(order, "binary")
     # 5 classes -> ceil(5/2) = 3 top classes weigh 1
-    per_class = [w.of(cls.members[0]) for cls in order.classes]
-    assert per_class == [1, 1, 1, 0, 0]
+    assert list(w.per_class) == [1, 1, 1, 0, 0]
     assert w.is_binary
-    assert list(w.per_class) == sorted(w.per_class, reverse=True)
 
 
 def test_single_class_order_weighs_everything_zero():
@@ -641,7 +640,7 @@ def test_single_class_order_weighs_everything_zero():
 def test_explicit_weights_validated(schema):
     order = build_order(build_tuple_space(schema), schema, Metric.CHEBYSHEV)
     w = assign_weights(order, [9, 7, 7, 1, 0])
-    assert w.of((3, 1)) == 7
+    assert w.per_class[order.class_of((3, 1))] == 7
     assert list(w.per_class) == sorted(w.per_class, reverse=True)
     with pytest.raises(PolicyViolation, match="expected 5 values"):
         assign_weights(order, [3, 2, 1])
@@ -651,10 +650,18 @@ def test_explicit_weights_validated(schema):
         assign_weights(order, [3, 2, 1, 0, -1])
     with pytest.raises(PolicyViolation, match="non-negative integers"):
         assign_weights(order, [3.0, 2, 1, 0, 0])
-    with pytest.raises(PolicyViolation, match="unknown weight policy"):
-        assign_weights(order, "steepest")
     with pytest.raises(PolicyViolation, match="all-worst tuple, 0"):
         assign_weights(order, [9, 7, 7, 1, 1])
+
+
+def test_metric_and_policy_names_are_exact(schema):
+    assert Metric("euclidean") is Metric.EUCLIDEAN
+    with pytest.raises(ValueError):
+        Metric("Euclidean")
+    order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
+    for name in ("DISTINCT", "Binary", "steepest"):
+        with pytest.raises(PolicyViolation, match=f"^unknown weight policy '{name}'$"):
+            assign_weights(order, name)
 
 
 def test_all_worst_docs_cannot_score_the_maximum():

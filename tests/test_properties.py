@@ -22,7 +22,6 @@ from aspecteval import (
     Metric,
     MissingBestTuple,
     SchemaError,
-    apply_rules,
     assign_weights,
     build_order,
     build_tuple_space,
@@ -72,7 +71,7 @@ def test_coupling_rules_agree_with_the_tuple_space(drawn):
     except (MissingBestTuple, SchemaError):  # the rules exclude the best or worst tuple
         reject()
     for t in itertools.product(*(range(n) for n in schema.grid_shape)):
-        fixed, corrections = apply_rules(t, schema)
+        (fixed,), corrections = schema.settle([t])
         assert (fixed, corrections) == ref_apply_rules(t, rules), t
         assert (t in space) == (corrections == 0), t
         assert fixed in space, (t, fixed)
@@ -218,8 +217,9 @@ def test_ranking_by_weight_scores_1_on_the_distance_order_ndcg(data, drawn):
     schema, gt = judged_schema(data, drawn)
     space = build_tuple_space(schema)
     for metric in Metric:
-        weights = assign_weights(build_order(space, schema, metric), "distinct")
-        weight = {key: weights.of(t) for key, t in gt.entries.items()}
+        order = build_order(space, schema, metric)
+        weights = assign_weights(order, "distinct")
+        weight = {key: weights.per_class[order.class_of(t)] for key, t in gt.entries.items()}
         ideal = {t: sorted(gt.judged(t), key=lambda d: -weight[t, d]) for t in TOPICS}
         matrix = score_runs(
             [run_of("ideal", ideal)], gt, schema, kinds=("ndcg",), metrics=(metric,)

@@ -14,7 +14,6 @@ from aspecteval import (
     GroundTruth,
     MissingBestTuple,
     SchemaError,
-    apply_rules,
     build_tuple_space,
     parse_schema,
 )
@@ -107,23 +106,27 @@ def test_rules_excluding_anchors_are_rejected():
         build_tuple_space(bad_best)
 
 
-def test_apply_rules_fixpoint(schema):
-    assert apply_rules((0, 2), schema) == ((0, 0), 1)
-    assert apply_rules((0, 0), schema) == ((0, 0), 0)
-    assert apply_rules((3, 1), schema) == ((3, 1), 0)
+def test_settle_reaches_the_fixpoint(schema):
+    assert schema.settle([(0, 2)]) == ([(0, 0)], 1)
+    assert schema.settle([(0, 0)]) == ([(0, 0)], 0)
+    assert schema.settle([(3, 1)]) == ([(3, 1)], 0)
+    assert schema.settle([(0, 2), (0, 0), (3, 1)]) == ([(0, 0), (0, 0), (3, 1)], 1)
     space = build_tuple_space(schema)
     assert (0, 0) in space
     assert (0, 2) not in space
-    # tuples off the grid raise instead of reading a wrong or wrapped cell
+
+
+def test_check_tuple_rejects_tuples_off_the_grid(schema):
+    schema.check_tuple((3, 2))
     with pytest.raises(SchemaError, match="grade index 7 out of range"):
-        apply_rules((0, 7), schema)
+        schema.check_tuple((0, 7))
     with pytest.raises(SchemaError, match="grade index -1 out of range"):
-        apply_rules((-1, 2), schema)
+        schema.check_tuple((-1, 2))
     with pytest.raises(DimensionMismatch):
-        apply_rules((0,), schema)
+        schema.check_tuple((0,))
 
 
-def test_apply_rules_chains_until_stable():
+def test_settle_chains_until_stable():
     s = parse_schema(
         "aspect a\nlabel a0 0\nlabel a1 1\n"
         "aspect b\nlabel b0 0\nlabel b1 1\n"
@@ -131,9 +134,7 @@ def test_apply_rules_chains_until_stable():
         "couple a a0 b b0\n"
         "couple b b0 c c0\n"
     )
-    fixed, corrections = apply_rules((0, 1, 1), s)
-    assert fixed == (0, 0, 0)
-    assert corrections == 2
+    assert s.settle([(0, 1, 1)]) == ([(0, 0, 0)], 2)
 
 
 NEVER_SETTLES = """\
@@ -176,7 +177,8 @@ def test_rules_that_never_settle_are_rejected():
     rules = [astuple(r) for r in wide.rules]
     cells = list(itertools.product(*(range(n) for n in wide.grid_shape)))
     for t in random.Random(35).sample(cells, 2000):
-        assert apply_rules(t, wide) == ref_apply_rules(t, rules), t
+        (fixed,), corrections = wide.settle([t])
+        assert (fixed, corrections) == ref_apply_rules(t, rules), t
 
 
 def test_ground_truth_accessors(schema):
