@@ -6,7 +6,9 @@ column of steps, the best grade's value minus each grade's value, so a key is
 a sum over the tuple's grades (squared steps for Euclidean, plain steps for
 Manhattan) or their max (Chebyshev), in exact Python ints.  Ties form
 equivalence classes, numbered by hashing: only the distinct keys are sorted.
-Class 0 is closest to the best tuple.
+Class 0 is closest to the best tuple.  Keys are made a slab at a time, whole
+rows of the first axis of at most a fixed number of cells, so beside the
+grid only one slab's Python ints are held at once.
 
 An order is one key per class and a grid of class indices over the grade
 grid.  The check that it extends Pareto dominance takes a suffix maximum of
@@ -14,9 +16,10 @@ that grid on reversed views, so it is linear in the grid size; the test
 suite keeps the dense pairwise check as its oracle.  A dump lists the
 grid's cells once, sorted by class in the smallest integer type that holds
 the class count, and streams: each piece of at most a fixed number
-of members joins one flat list of separators (class headers and line ends
-at class boundaries), label prefixes (over all aspects but the last) and
-last labels.
+of members joins one flat list of four slots per member: a separator (class
+headers and line ends at class boundaries), two label prefixes (read from
+one table over the first half of the aspects before the last and one over
+the rest) and the last label.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import MissingBestTuple, PolicyViolation
-from .schema import AspectSchema, LabelTuple, TupleSpace, on_grid
+from .schema import Aspect, AspectSchema, LabelTuple, TupleSpace, on_grid
 
 # Members per piece of an order dump: each piece's working lists and its
 # text grow with this, not with the order.
 _DUMP_MEMBERS = 8192
+# Cells per slab of the object keys build_order makes at once: a slab is
+# whole rows of the first axis, one row at least.
+_SLAB_CELLS = 8192
 
 
 class Metric(Enum):
@@ -60,9 +66,8 @@ class DistanceOrder:
     def __post_init__(self):
         grid = np.array(self.grid, dtype=np.int64)  # a copy the caller cannot change
         self.schema.check_grid(grid.shape)
-        # one reduction checks the range: shifted by 1 and read as unsigned,
-        # -1 is 0 and any index below it wraps past every class count
-        if (grid + 1).view(np.uint64).max() > self.n_classes:
+        # min and max allocate nothing the size of the grid
+        if grid.min() < -1 or grid.max() >= self.n_classes:
             raise ValueError(f"class indices must lie in [-1, {self.n_classes}), the keys' range")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
@@ -76,10 +81,12 @@ class DistanceOrder:
         descending lexicographic order; and an iterator of (key, start, end)
         per class, so no tuple per class is kept."""
         cells = np.flatnonzero(self.grid >= 0)[::-1]
-        cls = self.grid.ravel()[cells]
-        ends = np.cumsum(np.bincount(cls, minlength=self.n_classes)).tolist()
+        # the class column in the smallest type that holds the class count:
         # numpy radix-sorts 8- and 16-bit keys when the sort is stable
-        by_class = np.argsort(cls.astype(np.min_scalar_type(self.n_classes)), kind="stable")
+        cls = self.grid.ravel()[cells].astype(np.min_scalar_type(self.n_classes))
+        ends = np.cumsum(np.bincount(cls, minlength=self.n_classes)).tolist()
+        by_class = np.argsort(cls, kind="stable")
+        del cls  # freed first: permuting the members sets the peak
         return cells[by_class], zip(self.keys, itertools.chain((0,), ends), ends)
 
     def class_of(self, t: LabelTuple) -> int:
@@ -92,34 +99,54 @@ class DistanceOrder:
 def build_order(space: TupleSpace, schema: AspectSchema, metric: Metric) -> DistanceOrder:
     """Group the space by distance from the best tuple and sort the groups.
 
-    The keys are a broadcast sum (max for Chebyshev) of per-aspect step
-    columns in one object array, so keys of any size stay exact ints.  A
-    set of the feasible keys is sorted, and a dict numbers the classes.
+    The keys are an outer sum (max for Chebyshev) of per-aspect step
+    columns in object arrays, so keys of any size stay exact ints.  They are
+    made one slab at a time, whole rows of the first axis of at most
+    ``_SLAB_CELLS`` cells (one row at least).  A first pass adds each slab's
+    feasible keys to a set, which is sorted, and a dict numbers the classes.
+    A second pass, from the last slab back, fills the grid with class
+    indices; it reuses the last slab's keys, so a grid of one slab makes its
+    keys once.
     """
-    schema.check_grid(space.mask.shape)
+    mask = space.mask
+    schema.check_grid(mask.shape)
     # the best tuple, every grade at its top, is the grid's last cell
-    if not space.mask.item(-1):
+    if not mask.item(-1):
         raise MissingBestTuple("tuple space does not contain the best tuple")
     power = 2 if metric is Metric.EUCLIDEAN else 1
-    # each aspect's steps lie along its own axis: a column of shape
-    # (n_grades, 1, ..., 1) that broadcasting aligns with the later axes
-    steps = [
-        np.array([(vals[-1] - v) ** power for v in vals], dtype=object).reshape(
-            (-1,) + (1,) * (schema.n_aspects - 1 - axis)
-        )
-        for axis, vals in enumerate(schema.scaled_values)
+    # one column of steps per aspect; each outer sum (max for Chebyshev)
+    # adds the next aspect's axis
+    first, *rest = [
+        np.array([(vals[-1] - v) ** power for v in vals], dtype=object)
+        for vals in schema.scaled_values
     ]
-    keys = functools.reduce(np.maximum if metric is Metric.CHEBYSHEV else np.add, steps)
-    # each temporary is dropped once used: on a wide schema they set the
-    # peak memory of building an order
-    flat = keys[space.mask].tolist()
-    del keys
-    distinct = sorted(set(flat))
-    rank = dict(zip(distinct, range(len(distinct))))
-    grid = np.full(space.mask.shape, -1, dtype=np.int64)
-    grid[space.mask] = np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat))
-    del flat, rank
-    return DistanceOrder(metric, schema, tuple(distinct), grid)
+    combine = (np.maximum if metric is Metric.CHEBYSHEV else np.add).outer
+    rows = _SLAB_CELLS * len(first) // mask.size or 1
+    # each slab's first row, steps and feasible cells; one slab is unsliced
+    slabs = [(0, first, mask)] if rows >= len(first) else [
+        (at, first[at : at + rows], mask[at : at + rows]) for at in range(0, len(first), rows)
+    ]
+
+    def feasible_keys(steps: np.ndarray, feasible: np.ndarray) -> list[int]:
+        # the slab's key array is dropped as soon as it is masked
+        return functools.reduce(combine, rest, steps)[feasible].tolist()
+
+    distinct: set[int] = set()
+    for _, steps, feasible in slabs:
+        flat = feasible_keys(steps, feasible)
+        distinct.update(flat)
+    keys = sorted(distinct)
+    del distinct
+    rank = dict(zip(keys, range(len(keys))))
+    grid = np.empty(mask.shape, dtype=np.int64)
+    grid.fill(-1)  # np.full's Python wrapper costs more than a small grid's fill
+    for at, steps, feasible in reversed(slabs):
+        if flat is None:
+            flat = feasible_keys(steps, feasible)
+        grid[at : at + rows][feasible] = np.fromiter(map(rank.__getitem__, flat), np.int64, len(flat))
+        flat = None  # freed before the next slab's keys are made
+    del rank
+    return DistanceOrder(metric, schema, tuple(keys), grid)
 
 
 def check_extends_partial_order(order: DistanceOrder, schema: AspectSchema) -> bool:
@@ -216,6 +243,15 @@ def _boundaries(spans: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, st
     yield at, text
 
 
+def _prefix_table(aspects: Sequence[Aspect]) -> np.ndarray:
+    """The label prefix of every cell of the aspects' own grade grid, in C
+    order: each label followed by a comma."""
+    prefixes = [""]
+    for aspect in aspects:
+        prefixes = [p + label + "," for p in prefixes for label in aspect.labels]
+    return np.array(prefixes, dtype=object)
+
+
 def format_order_dump(order: DistanceOrder) -> Iterator[str]:
     """Render an order as one text line per class::
 
@@ -224,28 +260,29 @@ def format_order_dump(order: DistanceOrder) -> Iterator[str]:
 
     and yield it in pieces of at most ``_DUMP_MEMBERS`` members each, so no
     string of the whole dump is made; a larger class spans several pieces.
-    A member's label is its prefix, the labels of all aspects but the last
-    (read from one table over that smaller grid), then its last label.  A
-    piece joins one flat list of separator, prefix and last label per
+    A member's label is two prefixes, the labels of the first half of the
+    aspects before the last and the labels of the rest (each read from a
+    table over those aspects' smaller grid), then its last label.  A piece
+    joins one flat list of separator, two prefixes and last label per
     member, where the separator before a class's first member holds its
     header and the line end of the class before.
     """
-    cells, spans = order._cells()  # first: its temporaries are gone before the table is made
+    cells, spans = order._cells()  # first: its temporaries are gone before the tables are made
     *head, last = order.schema.aspects
-    prefixes = [""]
-    for aspect in head:
-        prefixes = [p + label + "," for p in prefixes for label in aspect.labels]
-    prefixes = np.array(prefixes, dtype=object)
+    half = len(head) // 2
+    highs, lows = _prefix_table(head[:half]), _prefix_table(head[half:])
     labels = np.array(last.labels, dtype=object)
     boundaries = _boundaries(spans)
     at, text = next(boundaries)
     for start in range(0, len(cells), _DUMP_MEMBERS):
         prefix, grade = np.divmod(cells[start : start + _DUMP_MEMBERS], last.n_grades)
-        flat = [";"] * (3 * len(prefix))
-        flat[1::3] = prefixes[prefix].tolist()
-        flat[2::3] = labels[grade].tolist()
+        high, low = np.divmod(prefix, len(lows))
+        flat = [";"] * (4 * len(prefix))
+        flat[1::4] = highs[high].tolist()
+        flat[2::4] = lows[low].tolist()
+        flat[3::4] = labels[grade].tolist()
         while at < start + len(prefix):
-            flat[3 * (at - start)] = text
+            flat[4 * (at - start)] = text
             at, text = next(boundaries)
         yield "".join(flat)
     yield text  # the last line end, and the headers of any empty classes there

@@ -141,9 +141,22 @@ class AspectSchema:
         raise SchemaError(f"coupling rules never settle from {self.format_tuple(unsettled)}")
 
     def settle(self, rows: Sequence[Sequence[int]]) -> tuple[list[LabelTuple], int]:
-        """The fixpoint of each on-grid tuple of ``rows``, read from
-        :attr:`rule_map`, and the corrections made over all rows."""
-        grades = np.array(rows, dtype=np.int64).reshape(len(rows), self.n_aspects).T
+        """The fixpoint of each tuple of ``rows``, read from :attr:`rule_map`,
+        and the corrections made over all rows.  The first row that is not a
+        grade-index tuple of this schema raises :meth:`check_tuple`'s error."""
+        try:
+            grades = np.array(rows, dtype=np.int64).reshape(len(rows), self.n_aspects)
+        except ValueError:  # ragged rows, or rows of another length
+            for row in rows:
+                self.check_tuple(tuple(row))
+            raise
+        # plain int64 comparisons: one over a uint64 view, or any() or max()
+        # in place of count_nonzero, raised the peak RSS of the evaluate and
+        # analyze children by 0.1-0.3 MB
+        off = (grades < 0) | (grades >= np.array(self.grid_shape))
+        if np.count_nonzero(off):
+            self.check_tuple(tuple(rows[off.argmax() // self.n_aspects]))
+        grades = grades.T
         shift, corrections = self.rule_map
         # clipping sends any grade of an aspect no rule names to its one cell
         cells = np.ravel_multi_index(tuple(grades), corrections.shape, mode="clip")

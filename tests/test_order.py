@@ -520,35 +520,101 @@ def test_empty_classes_of_a_hand_built_order_dump_as_empty_lines(monkeypatch, si
     assert "".join(format_order_dump(alone)) == "class 0 dist 4 : \nclass 1 dist 5 : \n"
 
 
-@pytest.mark.parametrize(
-    "make, metric",
-    [(wide_schema, Metric.EUCLIDEAN), (wide_schema, Metric.CHEBYSHEV),
-     (random_three_aspect_schema, Metric.EUCLIDEAN)],
-    ids=["wide-eucl", "wide-cheb", "three-by-45"],
-)
-def test_streamed_dump_peaks_below_twice_its_size(make, metric):
-    """Written whole, the dump peaked at 3.7x its size on the wide schema
-    and 6x on 91,123 one-member classes."""
-    schema = make()
-    order = build_order(build_tuple_space(schema), schema, metric)
+def two_aspects_of(big):
+    """Two aspects of two grades, embedded at 0 and ``big``."""
+    return parse_schema(f"aspect a\nlabel x 0\nlabel y {big}\naspect b\nlabel p 0\nlabel q {big}\n")
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def grid_bytes(schema):
+    """The bytes of one int64 class grid over the schema's grade grid."""
+    return np.zeros(schema.grid_shape, dtype=np.int64).nbytes
+
+
+@pytest.mark.parametrize(
+    "make, metric, bound",
+    [(wide_schema, Metric.EUCLIDEAN, 1.3), (wide_schema, Metric.CHEBYSHEV, 1.3),
+     (random_three_aspect_schema, Metric.EUCLIDEAN, 2)],
+    ids=["wide-eucl", "wide-cheb", "three-by-45"],
+)
+def test_streamed_dump_peaks_below_twice_its_size(make, metric, bound):
+    """Written whole, the dump peaked at 3.7x its size on the wide schema
+    and 6x on 91,123 one-member classes; with one table of label prefixes
+    over all aspects but the last (27,000 strings), the wide dump peaked at
+    1.7x."""
+    schema = make()
+    order = build_order(build_tuple_space(schema), schema, metric)
+
+    def consume():
         size = largest = 0
         for piece in format_order_dump(order):
             size += len(piece)
             largest = max(largest, len(piece))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * size
+        return size, largest
+
+    (size, largest), peak = traced_peak(consume)
+    assert peak <= bound * size
     assert largest <= size / 5
+
+
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
+def test_building_a_wide_order_holds_one_slab_of_keys_beside_the_grid(metric):
+    """The grid and the copy the order keeps peak at 2 grids; one object key
+    per grid cell peaked at 4.4 grids (Euclidean) and 3 (the others)."""
+    schema = wide_schema()
+    space = build_tuple_space(schema)
+    order, peak = traced_peak(lambda: build_order(space, schema, metric))
+    assert order.n_classes > 1
+    assert peak <= 2.2 * grid_bytes(schema)
+
+
+def test_an_order_allocates_one_copy_of_its_grid():
+    """Checking the range over ``grid + 1`` made a second grid."""
+    schema = wide_schema()
+    order = build_order(build_tuple_space(schema), schema, Metric.EUCLIDEAN)
+    grid = np.array(order.grid)
+    assert grid.size == 135000
+    copy, peak = traced_peak(lambda: DistanceOrder(order.metric, schema, order.keys, grid))
+    assert np.array_equal(copy.grid, grid) and not np.shares_memory(copy.grid, grid)
+    assert peak <= 1.1 * grid_bytes(schema)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: parse_schema(SYNTH_SCHEMA), wide_schema, random_three_aspect_schema,
+     lambda: two_aspects_of(2**65)],
+    ids=["ac9", "wide", "three-by-45", "beyond-64-bits"],
+)
+def test_slabs_of_one_row_or_the_whole_grid_build_the_same_order(monkeypatch, make):
+    """Keys made a row of the first axis at a time, or all at once, number
+    the same classes."""
+    schema = make()
+    space = build_tuple_space(schema)
+    for metric in Metric:
+        default = build_order(space, schema, metric)
+        for cells in (1, space.mask.size + 1):  # one row per slab, and one slab
+            monkeypatch.setattr(order_module, "_SLAB_CELLS", cells)
+            order = build_order(space, schema, metric)
+            assert order.keys == default.keys
+            assert np.array_equal(order.grid, default.grid)
+        monkeypatch.undo()
 
 
 def test_score_runs_holds_one_order_at_a_time():
     """Each order of the wide schema is a 135,000-cell int64 grid.  Scoring
     builds the three orders one after the other and keeps of each only its
     class weights and the judged docs' classes; holding all three grids
-    while building the last peaked at 5.9 grids."""
+    while building the last peaked at 5.9 grids, and one object key per
+    cell at 4.5."""
     schema = wide_schema()
     space = build_tuple_space(schema)
     rng = random.Random(7)
@@ -556,20 +622,14 @@ def test_score_runs_holds_one_order_at_a_time():
     judged = [t for t in cells if t in space][:40]
     gt = ground_truth_from([("1", f"d{i}", t) for i, t in enumerate(judged)], schema)
     run = run_of("r", {"1": [f"d{i}" for i in range(0, 40, 3)]})
-    grid_bytes = np.zeros(schema.grid_shape, dtype=np.int64).nbytes
-    tracemalloc.start()
-    try:
-        scores = score_runs([run], gt, schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scores, peak = traced_peak(lambda: score_runs([run], gt, schema))
     assert len(scores) == 10
-    assert peak < 5 * grid_bytes
+    assert peak < 2.5 * grid_bytes(schema)
 
 
 def test_keys_beyond_64_bits_that_tie_share_one_class():
     big = 2**65
-    s = parse_schema(f"aspect a\nlabel x 0\nlabel y {big}\naspect b\nlabel p 0\nlabel q {big}\n")
+    s = two_aspects_of(big)
     # (0, 1) and (1, 0) tie; under Chebyshev (0, 0) ties with them too
     expected = {
         Metric.EUCLIDEAN: ((0, big**2, 2 * big**2), ((1, 0), (0, 1))),

@@ -137,6 +137,34 @@ def test_settle_chains_until_stable():
     assert s.settle([(0, 1, 1)]) == ([(0, 0, 0)], 2)
 
 
+def test_settle_rejects_tuples_off_the_grid(schema):
+    # clipped into the rule map, these read as (0, 5) and (-1, 0)
+    with pytest.raises(SchemaError, match="^grade index 7 out of range for aspect 'correctness'$"):
+        schema.settle([(0, 7)])
+    with pytest.raises(SchemaError, match="^grade index -1 out of range for aspect 'relevance'$"):
+        schema.settle([(-1, 2)])
+    # the first bad row is the one named
+    with pytest.raises(SchemaError, match="^grade index 4 out of range for aspect 'relevance'$"):
+        schema.settle([(0, 2), (4, 0), (0, 9)])
+    with pytest.raises(DimensionMismatch, match=r"^tuple \(0,\) has 1 aspects, schema has 2$"):
+        schema.settle([(0,)])
+    with pytest.raises(DimensionMismatch, match=r"^tuple \(0, 1, 2\) has 3 aspects"):
+        schema.settle([(0, 2), (0, 1, 2)])
+    with pytest.raises(SchemaError, match="^grade index 9 out of range"):
+        schema.settle([(0, 9), (0, 1, 2)])
+    assert schema.settle([]) == ([], 0)
+
+
+def test_settle_rejects_off_grid_grades_of_aspects_no_rule_names():
+    # the rules name four of the seven aspects; w6 has five grades
+    wide = parse_schema(WIDE_CONFLICT)
+    assert wide.settle([(0, 0, 0, 0, 0, 0, 4)]) == ([(0, 0, 0, 0, 0, 0, 4)], 0)
+    with pytest.raises(SchemaError, match="^grade index 9 out of range for aspect 'w6'$"):
+        wide.settle([(0, 0, 0, 0, 0, 0, 9)])
+    with pytest.raises(SchemaError, match="^grade index -1 out of range for aspect 'w0'$"):
+        wide.settle([(-1, 0, 0, 0, 0, 0, 0)])
+
+
 NEVER_SETTLES = """\
 aspect a0
 label g0 0
